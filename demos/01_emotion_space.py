@@ -2,8 +2,9 @@
 
 Points in the unit cube carry a pleasure/arousal/dominance reading; the
 sign octant gives a mood word and a fixed linear regression turns any
-point into Big Five trait estimates. States integrate appraisal deltas
-cycle by cycle and stay inside the cube by clamping.
+point into Big Five trait estimates. States integrate appraisal deltas,
+plain (p, a, d) triples, cycle by cycle and stay inside the cube by
+clamping.
 """
 
 from itertools import product
@@ -32,7 +33,7 @@ def main() -> None:
     print("integrating appraisal deltas (pleasure channel):")
     state = new_state()
     for cycle, delta in enumerate([0.4, 0.4, 0.4, -0.2]):
-        state = integrate_appraisals(state, [PadVector(pleasure=delta)], cycle)
+        state = integrate_appraisals(state, [(delta, 0.0, 0.0)], cycle)
         print(
             f"  cycle {cycle}: delta {delta:+.1f} -> pleasure "
             f"{state.current.pleasure:+.2f} ({octant_label(state.current).value})"

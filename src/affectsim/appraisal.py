@@ -4,7 +4,8 @@ Raw sensor sweeps are first translated into discrete appraisal events
 (threats seen, walls hit, goal visible or lost, company found or missed).
 Two banks then evaluate the events: a survival bank for pain and danger
 and a goal bank for progress toward the beacon and the agent's social
-need. Each bank emits a small PAD delta; anxiety skews the pleasure
+need. Each bank emits a small PAD delta, a plain (p, a, d) triple that
+is not itself a point of the cube; anxiety skews the pleasure
 channel, the temperament's emotional rate scales everything, and the
 result is folded into the agent's emotional state.
 """
@@ -16,7 +17,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from .pad import EmotionLabel, EmotionalState, PadVector, integrate_appraisals, octant_label
+from .pad import (
+    EmotionLabel,
+    EmotionalState,
+    PadVector,
+    check_range,
+    integrate_appraisals,
+    octant_label,
+)
 from .temperament import (
     SocialGroup,
     TemperamentProfile,
@@ -63,27 +71,7 @@ class AppraisalEvent:
 @dataclass(frozen=True)
 class AppraisalResult:
     bank_id: BankId
-    delta: PadVector
-
-
-@dataclass(frozen=True)
-class BeliefBase:
-    """The fixed BDI lists every agent shares."""
-
-    beliefs: Tuple[str, ...]
-    desires: Tuple[str, ...]
-    intentions: Tuple[str, ...]
-
-
-BELIEFS = BeliefBase(
-    beliefs=(
-        "angry robots are dangerous",
-        "collisions are painful",
-        "happy robots are friendly",
-    ),
-    desires=("reach the beacon", "satisfy the social need", "avoid harm"),
-    intentions=("avoid threats", "avoid wall collisions", "follow happy agents"),
-)
+    delta: Tuple[float, float, float]  # (p, a, d), each within the bank's cap
 
 
 # "Happy" robots broadcast any positive-pleasure octant; "angry" is the
@@ -107,6 +95,10 @@ class GainConfig:
     event_gain: float = 0.05  # delta magnitude at intensity 1
     excitation_threat_boost: float = 1.5  # threat gain for excitation-dominant kinds
 
+    def __post_init__(self) -> None:
+        for name in ("max_step", "event_gain", "excitation_threat_boost"):
+            check_range(name, getattr(self, name), 0.0)
+
 
 @dataclass(frozen=True)
 class ThresholdConfig:
@@ -123,6 +115,21 @@ class ThresholdConfig:
     steer_gain: float = 1.2
     wander_base: float = 0.6  # wander speed floor, fraction of ceiling
     wander_span: float = 0.4  # extra wander speed at full mobility
+
+    def __post_init__(self) -> None:
+        unit = ("wall_ahead_prox", "occlusion_prox", "idle_mobility", "wander_base", "wander_span")
+        for name in unit:
+            check_range(name, getattr(self, name), 0.0, 1.0)
+        # Wander speed may reach the motor ceiling, never pass it.
+        check_range("wander_base + wander_span", self.wander_base + self.wander_span, 0.0, 1.0)
+        check_range("clear_path_angle", self.clear_path_angle, 0.0, math.pi)
+        check_range("comfort_pleasure", self.comfort_pleasure, -1.0, 1.0)
+        for name in ("danger_radius", "social_radius", "steer_gain"):
+            check_range(name, getattr(self, name), 0.0)
+        cycles = check_range("recover_cycles", self.recover_cycles, 0.0)
+        if not cycles.is_integer():
+            raise ValueError(f"recover_cycles must be a whole number, got {cycles!r}")
+        object.__setattr__(self, "recover_cycles", int(cycles))
 
 
 def encode_events(
@@ -205,14 +212,11 @@ def appraise_survival(
             p -= g
             a += g
     cap = gains.max_step
-    delta = PadVector(_capped(p, cap), _capped(a, cap), _capped(d, cap))
-    return AppraisalResult(BankId.SURVIVAL, delta)
+    return AppraisalResult(BankId.SURVIVAL, (_capped(p, cap), _capped(a, cap), _capped(d, cap)))
 
 
 def appraise_goal(
-    events: Sequence[AppraisalEvent],
-    profile: Optional[TemperamentProfile] = None,
-    gains: GainConfig = GainConfig(),
+    events: Sequence[AppraisalEvent], gains: GainConfig = GainConfig()
 ) -> AppraisalResult:
     """Goal bank: beacon progress and the social need move pleasure and
     dominance; losing sight of the goal costs pleasure but no attention."""
@@ -235,8 +239,7 @@ def appraise_goal(
         elif kind is EventKind.GOAL_REACHED:
             p += gains.max_step
     cap = gains.max_step
-    delta = PadVector(_capped(p, cap), _capped(a, cap), _capped(d, cap))
-    return AppraisalResult(BankId.GOAL, delta)
+    return AppraisalResult(BankId.GOAL, (_capped(p, cap), _capped(a, cap), _capped(d, cap)))
 
 
 def step_emotion(
@@ -259,16 +262,14 @@ def step_emotion(
         gains.excitation_threat_boost if profile.traits.excitation_dominant else 1.0
     )
     survival = appraise_survival(events, gains, boost)
-    goal = appraise_goal(events, profile, gains)
+    goal = appraise_goal(events, gains)
     rate = actuation_limits(profile).emotional_rate
     anxiety = profile.anxiety
     deltas = []
     for result in (survival, goal):
-        p = result.delta.pleasure
+        p, a, d = result.delta
         p *= (1.0 + anxiety) if p < 0 else (1.0 - anxiety / 2.0)
-        deltas.append(
-            PadVector(p * rate, result.delta.arousal * rate, result.delta.dominance * rate)
-        )
+        deltas.append((p * rate, a * rate, d * rate))
     return integrate_appraisals(e, deltas, cycle)
 
 

@@ -4,9 +4,10 @@ A scenario is an INI-style text file with sections [arena], [walls],
 [beacon], [spawns], [temperament], [appraisal_gains] and [thresholds].
 Geometry is in meters, headings in degrees. Every tuning constant of the
 temperament, appraisal and behavior layers can be overridden per
-scenario; omitted keys keep library defaults. Loading validates the
-whole arrangement (beacon clear of walls, spawns inside bounds and
-mutually disjoint) and reports problems as ScenarioError.
+scenario; omitted keys keep library defaults. Loading validates every
+override's range and the whole arrangement (beacon clear of walls,
+spawns inside bounds and mutually disjoint) and reports problems as
+ScenarioError naming the section.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .appraisal import GainConfig, ThresholdConfig
 from .temperament import TemperamentConfig, TemperamentKind, TemperamentProfile
-from .world import AgentBody, Arena, PhysicsConfig, Rect, World
+from .world import AgentBody, Arena, PhysicsConfig, Rect, World, placement_error
 
 
 class ScenarioError(ValueError):
@@ -42,10 +45,7 @@ class ScenarioSpec:
 
 BUILTIN_SCENARIOS = ("scenario1", "scenario2", "scenario3", "social")
 
-_ARENA_KEYS = {
-    "name",
-    "width",
-    "height",
+_PHYSICS_KEYS = {
     "cycle_period",
     "v_max",
     "body_radius",
@@ -56,6 +56,7 @@ _ARENA_KEYS = {
     "reach_floor",
     "vision_half_angle_deg",
 }
+_ARENA_KEYS = {"name", "width", "height"} | _PHYSICS_KEYS
 _BEACON_KEYS = {"x", "y", "radius"}
 _TEMPERAMENT_KEYS = {
     "upper_band",
@@ -114,6 +115,31 @@ def _get_float(section: Mapping[str, str], key: str, default: float, where: str)
         raise _fail(where, f"{key} must be a number, got {section[key]!r}") from None
 
 
+def _overrides(section: Mapping[str, str], keys: set, where: str) -> Dict[str, float]:
+    """The section's numeric keys among `keys`, as config fields.
+
+    A `<field>_deg` key sets `<field>` in radians. Omitted keys are left
+    out, so the config keeps its defaults for them.
+    """
+    fields = {}
+    for key in section:
+        if key in keys:
+            value = _get_float(section, key, 0.0, where)
+            if key.endswith("_deg"):
+                fields[key[: -len("_deg")]] = math.radians(value)
+            else:
+                fields[key] = value
+    return fields
+
+
+def _build(where: str, make, *args, **kwargs):
+    """Call a validating constructor; a bad value fails naming `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _fail(where, str(exc)) from None
+
+
 def _check_keys(name: str, section: Mapping[str, str], allowed: set) -> None:
     unknown = set(section) - allowed
     if unknown:
@@ -149,34 +175,13 @@ def parse_scenario(source, name: Optional[str] = None) -> ScenarioSpec:
     width = _get_float(arena_sec, "width", 0.0, "[arena]")
     height = _get_float(arena_sec, "height", 0.0, "[arena]")
 
-    base = PhysicsConfig()
-    physics = PhysicsConfig(
-        cycle_period=_get_float(arena_sec, "cycle_period", base.cycle_period, "[arena]"),
-        v_max=_get_float(arena_sec, "v_max", base.v_max, "[arena]"),
-        body_radius=_get_float(arena_sec, "body_radius", base.body_radius, "[arena]"),
-        base_reach=_get_float(arena_sec, "base_reach", base.base_reach, "[arena]"),
-        sigma_prox=_get_float(arena_sec, "sigma_prox", base.sigma_prox, "[arena]"),
-        sigma_angle=_get_float(arena_sec, "sigma_angle", base.sigma_angle, "[arena]"),
-        motor_floor=_get_float(arena_sec, "motor_floor", base.motor_floor, "[arena]"),
-        reach_floor=_get_float(arena_sec, "reach_floor", base.reach_floor, "[arena]"),
-        vision_half_angle=math.radians(
-            _get_float(
-                arena_sec,
-                "vision_half_angle_deg",
-                math.degrees(base.vision_half_angle),
-                "[arena]",
-            )
-        ),
-    )
+    physics = _build("[arena]", PhysicsConfig, **_overrides(arena_sec, _PHYSICS_KEYS, "[arena]"))
 
     walls: List[Rect] = []
     if "walls" in parser:
         for key, raw in parser["walls"].items():
-            xmin, ymin, xmax, ymax = _floats(f"[walls] {key}", raw, 4)
-            try:
-                walls.append(Rect(xmin, ymin, xmax, ymax))
-            except ValueError as exc:
-                raise _fail(f"[walls] {key}", str(exc)) from None
+            where = f"[walls] {key}"
+            walls.append(_build(where, Rect, *_floats(where, raw, 4)))
 
     beacon = None
     arrival_radius = 0.5
@@ -192,10 +197,7 @@ def parse_scenario(source, name: Optional[str] = None) -> ScenarioSpec:
         )
         arrival_radius = _get_float(beacon_sec, "radius", 0.5, "[beacon]")
 
-    try:
-        arena = Arena(width, height, tuple(walls), beacon, arrival_radius)
-    except ValueError as exc:
-        raise _fail("[arena]", str(exc)) from None
+    arena = _build("[arena]", Arena, width, height, tuple(walls), beacon, arrival_radius)
 
     spawns: List[Tuple[float, float, float]] = []
     for key, raw in parser["spawns"].items():
@@ -208,91 +210,16 @@ def parse_scenario(source, name: Optional[str] = None) -> ScenarioSpec:
     if "temperament" in parser:
         sec = parser["temperament"]
         _check_keys("temperament", sec, _TEMPERAMENT_KEYS)
-        upper = temperament.upper_band
-        lower = temperament.lower_band
-        if "upper_band" in sec:
-            lo, hi = _floats("[temperament] upper_band", sec["upper_band"], 2)
-            upper = (lo, hi)
-        if "lower_band" in sec:
-            lo, hi = _floats("[temperament] lower_band", sec["lower_band"], 2)
-            lower = (lo, hi)
+        fields = _overrides(sec, {"drift_rate"}, "[temperament]")
+        for band in ("upper_band", "lower_band"):
+            if band in sec:
+                fields[band] = tuple(_floats(f"[temperament] {band}", sec[band], 2))
         anxiety = dict(temperament.anxiety)
         for kind in TemperamentKind:
             key = f"anxiety_{kind.value}"
             if key in sec:
                 anxiety[kind] = _get_float(sec, key, 0.0, "[temperament]")
-        temperament = TemperamentConfig(
-            upper_band=upper,
-            lower_band=lower,
-            anxiety=anxiety,
-            drift_rate=_get_float(
-                sec, "drift_rate", temperament.drift_rate, "[temperament]"
-            ),
-        )
-
-    gains = GainConfig()
-    if "appraisal_gains" in parser:
-        sec = parser["appraisal_gains"]
-        _check_keys("appraisal_gains", sec, _GAIN_KEYS)
-        gains = GainConfig(
-            max_step=_get_float(sec, "max_step", gains.max_step, "[appraisal_gains]"),
-            event_gain=_get_float(
-                sec, "event_gain", gains.event_gain, "[appraisal_gains]"
-            ),
-            excitation_threat_boost=_get_float(
-                sec,
-                "excitation_threat_boost",
-                gains.excitation_threat_boost,
-                "[appraisal_gains]",
-            ),
-        )
-
-    thresholds = ThresholdConfig()
-    if "thresholds" in parser:
-        sec = parser["thresholds"]
-        _check_keys("thresholds", sec, _THRESHOLD_KEYS)
-        thresholds = ThresholdConfig(
-            wall_ahead_prox=_get_float(
-                sec, "wall_ahead_prox", thresholds.wall_ahead_prox, "[thresholds]"
-            ),
-            occlusion_prox=_get_float(
-                sec, "occlusion_prox", thresholds.occlusion_prox, "[thresholds]"
-            ),
-            clear_path_angle=math.radians(
-                _get_float(
-                    sec,
-                    "clear_path_angle_deg",
-                    math.degrees(thresholds.clear_path_angle),
-                    "[thresholds]",
-                )
-            ),
-            comfort_pleasure=_get_float(
-                sec, "comfort_pleasure", thresholds.comfort_pleasure, "[thresholds]"
-            ),
-            idle_mobility=_get_float(
-                sec, "idle_mobility", thresholds.idle_mobility, "[thresholds]"
-            ),
-            danger_radius=_get_float(
-                sec, "danger_radius", thresholds.danger_radius, "[thresholds]"
-            ),
-            social_radius=_get_float(
-                sec, "social_radius", thresholds.social_radius, "[thresholds]"
-            ),
-            recover_cycles=int(
-                _get_float(
-                    sec, "recover_cycles", thresholds.recover_cycles, "[thresholds]"
-                )
-            ),
-            steer_gain=_get_float(
-                sec, "steer_gain", thresholds.steer_gain, "[thresholds]"
-            ),
-            wander_base=_get_float(
-                sec, "wander_base", thresholds.wander_base, "[thresholds]"
-            ),
-            wander_span=_get_float(
-                sec, "wander_span", thresholds.wander_span, "[thresholds]"
-            ),
-        )
+        temperament = _build("[temperament]", TemperamentConfig, anxiety=anxiety, **fields)
 
     spec = ScenarioSpec(
         name=name or arena_sec.get("name", default_name),
@@ -300,26 +227,30 @@ def parse_scenario(source, name: Optional[str] = None) -> ScenarioSpec:
         spawns=tuple(spawns),
         physics=physics,
         temperament=temperament,
-        gains=gains,
-        thresholds=thresholds,
+        gains=_section_config(parser, "appraisal_gains", _GAIN_KEYS, GainConfig),
+        thresholds=_section_config(parser, "thresholds", _THRESHOLD_KEYS, ThresholdConfig),
     )
     _validate_spawns(spec)
     return spec
 
 
+def _section_config(parser: configparser.ConfigParser, name: str, keys: set, make):
+    """The config `make` builds from the overrides in section [name]."""
+    if name not in parser:
+        return make()
+    section = parser[name]
+    _check_keys(name, section, keys)
+    where = f"[{name}]"
+    return _build(where, make, **_overrides(section, keys, where))
+
+
 def _validate_spawns(spec: ScenarioSpec) -> None:
-    r = spec.physics.body_radius
-    arena = spec.arena
-    for i, (x, y, _) in enumerate(spec.spawns):
-        if not (r <= x <= arena.width - r and r <= y <= arena.height - r):
-            raise _fail("[spawns]", f"spawn {i} outside arena bounds")
-        for wall in arena.walls:
-            if wall.distance_to(x, y) < r:
-                raise _fail("[spawns]", f"spawn {i} overlaps a wall")
-        for j in range(i):
-            ox, oy, _ = spec.spawns[j]
-            if math.hypot(x - ox, y - oy) < 2.0 * r:
-                raise _fail("[spawns]", f"spawns {j} and {i} overlap")
+    pos = np.array([[x, y] for x, y, _ in spec.spawns])
+    radii = np.full(len(spec.spawns), spec.physics.body_radius)
+    names = [f"spawn {i}" for i in range(len(spec.spawns))]
+    fault = placement_error(spec.arena, pos, radii, names)
+    if fault is not None:
+        raise _fail("[spawns]", fault)
 
 
 def builtin_scenario(name: str) -> ScenarioSpec:

@@ -283,6 +283,11 @@ def build_controllers(
     profiles: Mapping[int, TemperamentProfile],
     seed: int,
 ) -> Dict[int, AgentController]:
+    """One mind per slot: the only place slot minds are built.
+
+    In-process trials, networked agent clients and the server's mirror
+    trackers all come from here, so every mode runs the same minds.
+    """
     return {
         slot: AgentController(
             slot,
@@ -306,18 +311,8 @@ def controller_for_slot(
     from the Welcome message: profile and wander stream depend only on
     (seed, slot, kind), so client and server agree on who the agent is.
     """
-    profile = sample_profile(
-        team.composition[slot], slot_rng(seed, slot, 0), spec.temperament
-    )
-    return AgentController(
-        slot,
-        profile,
-        spec.gains,
-        spec.thresholds,
-        spec.physics,
-        spec.temperament.drift_rate,
-        rng=slot_rng(seed, slot, 2),
-    )
+    profile = team_profiles(team, seed, spec.temperament)[slot]
+    return build_controllers(spec, {slot: profile}, seed)[slot]
 
 
 def run_trial(

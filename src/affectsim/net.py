@@ -27,6 +27,7 @@ from .harness import (
     TrialMetrics,
     T_MAX,
     _assemble_metrics,
+    build_controllers,
     controller_for_slot,
     team_profiles,
 )
@@ -62,7 +63,9 @@ class _Session:
         self.role = role
         self.name = name
         self.agent_id = -1
-        self.reader = conn.makefile("r", encoding="ascii", newline="\n")
+        # Bytes, not text: a non-ASCII line must reach decode() and be
+        # answered, not raise inside the reader and end the session.
+        self.reader = conn.makefile("rb")
         self.cond = threading.Condition()
         self.mailbox: Dict[int, MotorCommand] = {}
         self.alive = True
@@ -91,7 +94,7 @@ class _Session:
         """Pump Motors lines into the mailbox until the peer goes away."""
         try:
             for line in self.reader:
-                msg = decode(line)
+                msg = decode(line.decode("ascii", "replace"))
                 if isinstance(msg, Motors):
                     with self.cond:
                         if msg.cycle in self.mailbox:
@@ -240,8 +243,8 @@ class SimulationServer:
             threading.Thread(target=self._handshake, args=(conn,), daemon=True).start()
 
     def _handshake(self, conn: socket.socket) -> None:
-        reader = conn.makefile("r", encoding="ascii", newline="\n")
-        line = reader.readline()
+        reader = conn.makefile("rb")
+        line = reader.readline().decode("ascii", "replace")
         msg = decode(line) if line else WireError("parse", "no registration")
         if not isinstance(msg, Register):
             try:
@@ -286,15 +289,8 @@ class SimulationServer:
         """Wait for registration, drive the trial, return its metrics."""
         self.wait_for_agents(expected_agents)
         self.world = make_world(self.spec, self.profiles, self.seed)
-        self.trackers = {
-            slot: EmotionTracker(
-                self.profiles[slot],
-                self.spec.gains,
-                self.spec.thresholds,
-                self.spec.temperament.drift_rate,
-            )
-            for slot in self.profiles
-        }
+        controllers = build_controllers(self.spec, self.profiles, self.seed)
+        self.trackers = {slot: c.tracker for slot, c in controllers.items()}
         engine = TrialEngine(self.world, self.trackers, self.t_max)
         finish, traj = engine.run(_NetSource(self))
         return _assemble_metrics(

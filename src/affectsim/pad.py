@@ -10,9 +10,10 @@ onto the Big Five factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 
 class CycleOrderError(ValueError):
@@ -48,25 +49,36 @@ _OCTANTS = {
 }
 
 
-def _checked(name: str, value: float) -> float:
+def check_range(
+    name: str, value: float, lo: float, hi: float = math.inf, lo_open: bool = False
+) -> float:
+    """Return `value` as a float if it lies in [lo, hi] ((lo, hi] with
+    lo_open), else raise ValueError naming it. NaN and infinities never
+    pass, so a config value is always a usable number."""
     value = float(value)
-    if not -1.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [-1, 1], got {value!r}")
+    above = value > lo if lo_open else value >= lo
+    if not (above and value <= hi) or math.isinf(value):
+        left = "(" if lo_open else "["
+        right = "]" if math.isfinite(hi) else ")"
+        raise ValueError(f"{name} must lie in {left}{lo:g}, {hi:g}{right}, got {value!r}")
     return value
 
 
 @dataclass(frozen=True)
 class PadVector:
-    """A point in the PAD cube. Components are validated, not clamped."""
+    """A point in the PAD cube. Components are validated, not clamped.
+
+    Only points are PadVectors; appraisal deltas, which may leave the cube
+    before the sum is clamped, are plain (p, a, d) float triples.
+    """
 
     pleasure: float = 0.0
     arousal: float = 0.0
     dominance: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pleasure", _checked("pleasure", self.pleasure))
-        object.__setattr__(self, "arousal", _checked("arousal", self.arousal))
-        object.__setattr__(self, "dominance", _checked("dominance", self.dominance))
+        for axis in ("pleasure", "arousal", "dominance"):
+            object.__setattr__(self, axis, check_range(axis, getattr(self, axis), -1.0, 1.0))
 
     def as_tuple(self) -> Tuple[float, float, float]:
         return (self.pleasure, self.arousal, self.dominance)
@@ -85,23 +97,19 @@ class BigFive:
 
 @dataclass(frozen=True)
 class EmotionalState:
-    """Current PAD point plus the appraisal history that produced it.
+    """Current PAD point and the cycle that last moved it (-1: none yet).
 
-    History entries are (cycle, value) pairs with strictly increasing
-    cycles; the state object is immutable and integration returns a new
-    state, so a recorded trajectory can never be edited in place.
+    The state is immutable and integration returns a new one. It keeps no
+    history: whoever wants a trajectory records `current` each cycle, as
+    the trial engine does.
     """
 
     current: PadVector
-    history: Tuple[Tuple[int, PadVector], ...] = ()
-
-    @property
-    def last_cycle(self) -> int:
-        return self.history[-1][0] if self.history else -1
+    last_cycle: int = -1
 
 
 def new_state(start: PadVector = PadVector()) -> EmotionalState:
-    """Fresh emotional state with an empty history."""
+    """Fresh emotional state that no cycle has moved yet."""
     return EmotionalState(current=start)
 
 
@@ -111,27 +119,27 @@ def clamp_component(x: float) -> float:
 
 
 def integrate_appraisals(
-    state: EmotionalState, deltas: Iterable[PadVector], cycle: int
+    state: EmotionalState, deltas: Iterable[Tuple[float, float, float]], cycle: int
 ) -> EmotionalState:
-    """Fold a cycle's appraisal deltas into the state.
+    """Fold a cycle's appraisal deltas, (p, a, d) triples, into the state.
 
     The new point is the componentwise sum of the old point and every
-    delta, clamped back into the cube. An entry is appended to history
-    even when there are no deltas, so trajectories stay dense in time.
-    Raises CycleOrderError if `cycle` does not advance past the last
-    recorded cycle.
+    delta, in order, clamped back into the cube; it is the only PadVector
+    built here. The state moves to `cycle` even when there are no deltas.
+    Raises CycleOrderError if `cycle` does not advance past the state's
+    last cycle.
     """
     if cycle <= state.last_cycle:
         raise CycleOrderError(
             f"cycle {cycle} does not advance past recorded cycle {state.last_cycle}"
         )
     p, a, d = state.current.as_tuple()
-    for delta in deltas:
-        p += delta.pleasure
-        a += delta.arousal
-        d += delta.dominance
+    for dp, da, dd in deltas:
+        p += dp
+        a += da
+        d += dd
     point = PadVector(clamp_component(p), clamp_component(a), clamp_component(d))
-    return EmotionalState(current=point, history=state.history + ((cycle, point),))
+    return EmotionalState(point, cycle)
 
 
 def octant_label(v: PadVector) -> EmotionLabel:
@@ -154,8 +162,3 @@ def big_five(v: PadVector) -> BigFive:
 def scale_for_report(v: PadVector, factor: float = 10.0) -> Tuple[float, float, float]:
     """Rescale a PAD point for display (the traditional [-10, 10] axes)."""
     return (factor * v.pleasure, factor * v.arousal, factor * v.dominance)
-
-
-def trajectory(state: EmotionalState) -> Sequence[Tuple[int, PadVector]]:
-    """The recorded (cycle, value) pairs, oldest first."""
-    return state.history

@@ -17,6 +17,8 @@ from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
+from .pad import check_range
+
 
 class TemperamentKind(Enum):
     CHOLERIC = "choleric"
@@ -98,12 +100,14 @@ class TemperamentConfig:
     )
     drift_rate: float = 0.01  # rate0, fraction per cycle
 
-
-def _unit(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+    def __post_init__(self) -> None:
+        for name in ("upper_band", "lower_band"):
+            lo, hi = getattr(self, name)
+            check_range(f"{name} low end", lo, 0.0, 1.0)
+            check_range(f"{name} high end", hi, lo, 1.0)
+        for kind, value in self.anxiety.items():
+            check_range(f"anxiety_{kind.value}", value, 0.0, 1.0)
+        check_range("drift_rate", self.drift_rate, 0.0, 1.0)
 
 
 @dataclass
@@ -120,8 +124,8 @@ class FuzzyVariable:
     baseline: float
 
     def __post_init__(self) -> None:
-        self.value = _unit("value", self.value)
-        self.baseline = _unit("baseline", self.baseline)
+        self.value = check_range("value", self.value, 0.0, 1.0)
+        self.baseline = check_range("baseline", self.baseline, 0.0, 1.0)
 
     def memberships(self) -> Tuple[float, float, float]:
         x = self.value
@@ -152,7 +156,7 @@ class TemperamentProfile:
     steadiness: FuzzyVariable
 
     def __post_init__(self) -> None:
-        self.anxiety = _unit("anxiety", self.anxiety)
+        self.anxiety = check_range("anxiety", self.anxiety, 0.0, 1.0)
 
     def variables(self) -> Tuple[FuzzyVariable, FuzzyVariable, FuzzyVariable]:
         return (self.force, self.mobility, self.steadiness)

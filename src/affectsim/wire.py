@@ -217,7 +217,13 @@ class _Cursor:
 
 
 def decode(line: str) -> WireMessage:
-    """Parse one line; malformed input yields WireError('parse', ...)."""
+    """Parse one line; malformed input yields WireError('parse', ...).
+
+    The wire is ASCII: a line holding any other character is malformed,
+    so only ASCII digits ever read as numbers.
+    """
+    if not line.isascii():
+        return WireError("parse", "line is not ASCII")
     tokens = line.split()
     if not tokens:
         return WireError("parse", "empty line")

@@ -12,12 +12,13 @@ flags, and a vision list of nearby robots with their broadcast moods).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pad import EmotionLabel
+from .pad import EmotionLabel, check_range
 from .temperament import TemperamentProfile, actuation_limits
 
 
@@ -74,6 +75,61 @@ class Arena:
                 if wall.distance_to(bx, by) <= self.arrival_radius:
                     raise ValueError("arrival zone intersects a wall")
 
+    @cached_property
+    def wall_extents(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(min corners, max corners) of the wall blocks, one row each."""
+        lo = np.array([[r.xmin, r.ymin] for r in self.walls]).reshape(-1, 2)
+        hi = np.array([[r.xmax, r.ymax] for r in self.walls]).reshape(-1, 2)
+        return lo, hi
+
+
+def placement_masks(
+    arena: Arena, pos: np.ndarray, radii: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The placement rule for circles at `pos` (n x 2) with `radii`.
+
+    Returns (outside, on_wall, touching): per circle, whether it leaves
+    the arena and whether it overlaps a wall block; per pair, whether two
+    circles overlap (symmetric, diagonal False). Spawn validation and the
+    collision rollback in World.step both apply this one rule.
+    """
+    x, y = pos[:, 0], pos[:, 1]
+    outside = (
+        (x < radii)
+        | (x > arena.width - radii)
+        | (y < radii)
+        | (y > arena.height - radii)
+    )
+    wall_min, wall_max = arena.wall_extents
+    if wall_min.size:
+        cx = np.clip(x[:, None], wall_min[None, :, 0], wall_max[None, :, 0])
+        cy = np.clip(y[:, None], wall_min[None, :, 1], wall_max[None, :, 1])
+        d2 = (x[:, None] - cx) ** 2 + (y[:, None] - cy) ** 2
+        on_wall = (d2 < radii[:, None] ** 2).any(axis=1)
+    else:
+        on_wall = np.zeros(len(x), dtype=bool)
+    delta = pos[:, None, :] - pos[None, :, :]
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    touching = dist < radii[:, None] + radii[None, :]
+    np.fill_diagonal(touching, False)
+    return outside, on_wall, touching
+
+
+def placement_error(
+    arena: Arena, pos: np.ndarray, radii: np.ndarray, names: Sequence[str]
+) -> Optional[str]:
+    """The first break of the placement rule in index order, or None."""
+    outside, on_wall, touching = placement_masks(arena, pos, radii)
+    for i, name in enumerate(names):
+        if outside[i]:
+            return f"{name} outside arena bounds"
+        if on_wall[i]:
+            return f"{name} overlaps a wall"
+        for j in range(i):
+            if touching[i, j]:
+                return f"{names[j]} and {name} overlap"
+    return None
+
 
 @dataclass(frozen=True)
 class PhysicsConfig:
@@ -88,6 +144,15 @@ class PhysicsConfig:
     motor_floor: float = 0.2  # power ceiling at zero force
     reach_floor: float = 0.6  # reach multiplier at zero force
     vision_half_angle: float = math.pi / 2.0
+
+    def __post_init__(self) -> None:
+        for name in ("cycle_period", "v_max", "body_radius", "base_reach"):
+            check_range(name, getattr(self, name), 0.0, lo_open=True)
+        for name in ("sigma_prox", "sigma_angle"):
+            check_range(name, getattr(self, name), 0.0)
+        check_range("motor_floor", self.motor_floor, 0.0, 1.0)
+        check_range("reach_floor", self.reach_floor, 0.0, 1.0, lo_open=True)
+        check_range("vision_half_angle", self.vision_half_angle, 0.0, math.pi)
 
     @property
     def axle(self) -> float:
@@ -151,7 +216,6 @@ class AgentBody:
     power_right: float = 0.0
     collision_flag: bool = False
     led_on: bool = False
-    started: bool = True
     stopped: bool = False
     broadcast_label: EmotionLabel = EmotionLabel.EXUBERANT
 
@@ -231,8 +295,9 @@ class World:
         }
         self._index = {b.agent_id: b for b in self.bodies}
         self._rebuild_geometry()
-        for body in self.bodies:
-            self._check_placement(body)
+        fault = placement_error(arena, *self._circles(), [f"agent {i}" for i in ids])
+        if fault is not None:
+            raise ValueError(fault)
 
     # -- setup helpers -------------------------------------------------
 
@@ -249,27 +314,14 @@ class World:
         allrects = rects + boundary
         self._rect_min = np.array([[r.xmin, r.ymin] for r in allrects])
         self._rect_max = np.array([[r.xmax, r.ymax] for r in allrects])
-        if rects:
-            self._wall_min = np.array([[r.xmin, r.ymin] for r in rects])
-            self._wall_max = np.array([[r.xmax, r.ymax] for r in rects])
-        else:
-            self._wall_min = np.empty((0, 2))
-            self._wall_max = np.empty((0, 2))
         self._order = {b.agent_id: j for j, b in enumerate(self.bodies)}
         self._reaches = {b.agent_id: self.reach(b.agent_id) for b in self.bodies}
 
-    def _check_placement(self, body: AgentBody) -> None:
-        if self._pose_invalid(body, body.x, body.y):
-            raise ValueError(
-                f"agent {body.agent_id} placed overlapping a wall or outside bounds"
-            )
-        for other in self.bodies:
-            if other.agent_id == body.agent_id:
-                continue
-            if math.hypot(other.x - body.x, other.y - body.y) < other.radius + body.radius:
-                raise ValueError(
-                    f"agents {body.agent_id} and {other.agent_id} overlap at spawn"
-                )
+    def _circles(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Body positions (n x 2) and radii, in slot order."""
+        pos = np.array([[b.x, b.y] for b in self.bodies])
+        radii = np.array([b.radius for b in self.bodies])
+        return pos, radii
 
     # -- queries -------------------------------------------------------
 
@@ -295,34 +347,9 @@ class World:
         return math.hypot(x - bx, y - by) <= self.arena.arrival_radius
 
     def active_ids(self) -> List[int]:
-        return [b.agent_id for b in self.bodies if b.started and not b.stopped]
+        return [b.agent_id for b in self.bodies if not b.stopped]
 
     # -- stepping ------------------------------------------------------
-
-    def _pose_invalid(self, body: AgentBody, x: float, y: float) -> bool:
-        r = body.radius
-        if not (r <= x <= self.arena.width - r and r <= y <= self.arena.height - r):
-            return True
-        for wall in self.arena.walls:
-            if wall.distance_to(x, y) < r:
-                return True
-        return False
-
-    def _invalid_positions(self, pos: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Boolean mask of bodies out of bounds or overlapping a wall."""
-        x, y = pos[:, 0], pos[:, 1]
-        bad = (
-            (x < radii)
-            | (x > self.arena.width - radii)
-            | (y < radii)
-            | (y > self.arena.height - radii)
-        )
-        if self._wall_min.size:
-            cx = np.clip(x[:, None], self._wall_min[None, :, 0], self._wall_max[None, :, 0])
-            cy = np.clip(y[:, None], self._wall_min[None, :, 1], self._wall_max[None, :, 1])
-            d2 = (x[:, None] - cx) ** 2 + (y[:, None] - cy) ** 2
-            bad |= (d2 < radii[:, None] ** 2).any(axis=1)
-        return bad
 
     def step(self, commands: Mapping[int, MotorCommand]) -> Dict[int, SensorReadings]:
         """Advance one cycle and return readings for every active agent.
@@ -335,7 +362,7 @@ class World:
         before = {b.agent_id: b.pose() for b in self.bodies}
         for body in self.bodies:
             body.collision_flag = False
-            if not body.started or body.stopped:
+            if body.stopped:
                 continue
             cmd = commands.get(body.agent_id, COAST)
             apply_motors(body, cmd, self.profiles.get(body.agent_id), 1, self.physics)
@@ -346,18 +373,11 @@ class World:
         rolled: set = set()
         while True:
             offenders = set()
-            pos = np.array([[b.x, b.y] for b in self.bodies])
-            radii = np.array([b.radius for b in self.bodies])
-            bad = self._invalid_positions(pos, radii)
-            for j in np.nonzero(bad)[0]:
+            outside, on_wall, hit = placement_masks(self.arena, *self._circles())
+            for j in np.nonzero(outside | on_wall)[0]:
                 body = self.bodies[j]
                 if body.agent_id not in rolled:
                     offenders.add(body.agent_id)
-            delta = pos[:, None, :] - pos[None, :, :]
-            dist = np.hypot(delta[..., 0], delta[..., 1])
-            touch = radii[:, None] + radii[None, :]
-            hit = dist < touch
-            np.fill_diagonal(hit, False)
             for j, k in zip(*np.nonzero(np.triu(hit))):
                 a, b = self.bodies[j], self.bodies[k]
                 a.collision_flag = True
@@ -381,17 +401,6 @@ class World:
 
     def sense_active(self) -> Dict[int, SensorReadings]:
         return _sweep(self, self.active_ids())
-
-    def sense_all(self) -> Dict[int, SensorReadings]:
-        return _sweep(self, [b.agent_id for b in self.bodies])
-
-
-def step_world(
-    world: World, commands: Mapping[int, MotorCommand]
-) -> Tuple[World, Dict[int, SensorReadings]]:
-    """Functional-style wrapper over World.step."""
-    readings = world.step(commands)
-    return world, readings
 
 
 def _ray_distances(

@@ -1,7 +1,12 @@
 """Appraisal layer: event encoding, the two banks, emotional stepping."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import affectsim
 
 from affectsim.appraisal import (
     ANGRY_LABEL,
@@ -17,7 +22,7 @@ from affectsim.appraisal import (
     encode_events,
     step_emotion,
 )
-from affectsim.pad import EmotionLabel, PadVector, new_state
+from affectsim.pad import CycleOrderError, EmotionLabel, PadVector, new_state
 from affectsim.temperament import TemperamentKind, sample_profile
 from affectsim.world import SensorReadings, VisionContact
 
@@ -156,31 +161,25 @@ def test_event_intensity_is_validated():
 def test_survival_bank_threat_delta():
     result = appraise_survival([AppraisalEvent(EventKind.THREAT_VISIBLE)])
     assert result.bank_id is BankId.SURVIVAL
-    assert result.delta.pleasure == pytest.approx(-0.05)
-    assert result.delta.arousal == pytest.approx(0.05)
-    assert result.delta.dominance == pytest.approx(-0.05)
+    assert result.delta == pytest.approx((-0.05, 0.05, -0.05))
 
 
 def test_survival_bank_collision_delta():
     result = appraise_survival([AppraisalEvent(EventKind.WALL_COLLISION)])
-    assert result.delta.pleasure == pytest.approx(-0.05)
-    assert result.delta.arousal == pytest.approx(0.05)
-    assert result.delta.dominance == pytest.approx(0.0)
+    assert result.delta == pytest.approx((-0.05, 0.05, 0.0))
 
 
 def test_survival_bank_caps_componentwise():
     events = [AppraisalEvent(EventKind.THREAT_VISIBLE)] * 3
     result = appraise_survival(events)
-    assert result.delta.pleasure == pytest.approx(-0.1)
-    assert result.delta.arousal == pytest.approx(0.1)
-    assert result.delta.dominance == pytest.approx(-0.1)
+    assert result.delta == pytest.approx((-0.1, 0.1, -0.1))
 
 
 def test_survival_bank_threat_boost():
     result = appraise_survival(
         [AppraisalEvent(EventKind.THREAT_VISIBLE)], threat_boost=1.5
     )
-    assert result.delta.pleasure == pytest.approx(-0.075)
+    assert result.delta[0] == pytest.approx(-0.075)
 
 
 def test_survival_bank_ignores_goal_events():
@@ -190,7 +189,7 @@ def test_survival_bank_ignores_goal_events():
         AppraisalEvent(EventKind.GOAL_REACHED),
     ]
     result = appraise_survival(events)
-    assert result.delta == PadVector(0.0, 0.0, 0.0)
+    assert result.delta == (0.0, 0.0, 0.0)
 
 
 GOAL_SIGNS = {
@@ -208,12 +207,7 @@ def test_goal_bank_sign_table():
     for kind, signs in GOAL_SIGNS.items():
         result = appraise_goal([AppraisalEvent(kind)])
         assert result.bank_id is BankId.GOAL
-        got = (
-            result.delta.pleasure,
-            result.delta.arousal,
-            result.delta.dominance,
-        )
-        for value, sign in zip(got, signs):
+        for value, sign in zip(result.delta, signs):
             if sign == 0:
                 assert value == pytest.approx(0.0)
             else:
@@ -222,7 +216,7 @@ def test_goal_bank_sign_table():
 
 def test_goal_reached_pays_the_full_cap():
     result = appraise_goal([AppraisalEvent(EventKind.GOAL_REACHED)])
-    assert result.delta.pleasure == pytest.approx(0.1)
+    assert result.delta[0] == pytest.approx(0.1)
 
 
 def test_goal_bank_ignores_survival_events():
@@ -232,12 +226,12 @@ def test_goal_bank_ignores_survival_events():
             AppraisalEvent(EventKind.WALL_COLLISION),
         ]
     )
-    assert result.delta == PadVector(0.0, 0.0, 0.0)
+    assert result.delta == (0.0, 0.0, 0.0)
 
 
 def test_intensity_scales_gain():
     result = appraise_goal([AppraisalEvent(EventKind.BEACON_VISIBLE, intensity=0.4)])
-    assert result.delta.pleasure == pytest.approx(0.02)
+    assert result.delta[0] == pytest.approx(0.02)
 
 
 def test_survival_event_set():
@@ -252,7 +246,7 @@ def test_no_events_leaves_state_untouched():
     state = new_state(PadVector(0.2, -0.1, 0.3))
     out = step_emotion(state, [], _profile(), cycle=10)
     assert out is state
-    assert out.history == ()
+    assert out.last_cycle == -1
 
 
 def test_positive_pleasure_is_damped_by_anxiety():
@@ -283,12 +277,13 @@ def test_threat_swing_is_larger_for_excitation_dominant_kinds():
     assert abs(choleric.current.arousal) > abs(sanguine.current.arousal)
 
 
-def test_step_emotion_appends_history_at_cycle():
+def test_step_emotion_moves_state_to_cycle():
     state = step_emotion(
         new_state(), [AppraisalEvent(EventKind.BEACON_VISIBLE)], _profile(), cycle=17
     )
     assert state.last_cycle == 17
-    assert len(state.history) == 1
+    with pytest.raises(CycleOrderError):
+        step_emotion(state, [AppraisalEvent(EventKind.BEACON_VISIBLE)], _profile(), cycle=17)
 
 
 def test_anxious_agents_diverge_under_identical_stress():
@@ -348,3 +343,30 @@ def test_tracker_label_follows_state():
         EmotionLabel.DISDAINFUL,
         EmotionLabel.BORED,
     )
+
+
+def _held_by_package() -> int:
+    """Bytes currently allocated from affectsim's own source lines."""
+    package = os.path.dirname(affectsim.__file__)
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, os.path.join(package, "*"))]
+    )
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def test_tracker_memory_does_not_grow_with_cycles():
+    # An emotion tracker keeps one point, not its past: memory held after
+    # 20,000 cycles equals that after 1,000.
+    tracker = EmotionTracker(_profile())
+    readings = [_readings(beacon_bearing=0.1), _readings(collision=True)]
+    tracemalloc.start()
+    try:
+        for cycle in range(1_000):
+            tracker.observe(readings[cycle % 2], cycle)
+        early = _held_by_package()
+        for cycle in range(1_000, 20_000):
+            tracker.observe(readings[cycle % 2], cycle)
+        late = _held_by_package()
+    finally:
+        tracemalloc.stop()
+    assert abs(late - early) <= 1024

@@ -217,12 +217,15 @@ def test_gain_and_threshold_overrides_apply():
     text = MINIMAL + (
         "\n[appraisal_gains]\nevent_gain = 0.1\n"
         "\n[thresholds]\nclear_path_angle_deg = 15\nsocial_radius = 2.5\n"
+        "recover_cycles = 7\n"
     )
     spec = parse_scenario(text)
     assert spec.gains.event_gain == 0.1
     assert spec.gains.max_step == 0.1
     assert spec.thresholds.clear_path_angle == pytest.approx(math.radians(15.0))
     assert spec.thresholds.social_radius == 2.5
+    assert spec.thresholds.recover_cycles == 7
+    assert isinstance(spec.thresholds.recover_cycles, int)
 
 
 def test_make_world_bare_bodies():
@@ -263,3 +266,25 @@ def test_spec_is_frozen():
     with pytest.raises(Exception):
         spec.name = "other"
     assert isinstance(spec, ScenarioSpec)
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("arena", "body_radius = 0"),
+        ("arena", "sigma_prox = -1"),
+        ("temperament", "anxiety_sanguine = 5"),
+        ("temperament", "upper_band = 2 3"),
+        ("arena", "v_max = -1"),
+        ("arena", "cycle_period = 0"),
+        ("thresholds", "recover_cycles = 2.7"),
+    ],
+)
+def test_out_of_range_override_fails_at_parse_naming_its_section(section, line):
+    key = line.split()[0]
+    if section == "arena":
+        text = MINIMAL.replace("width = 10", f"width = 10\n{line}")
+    else:
+        text = MINIMAL + f"\n[{section}]\n{line}\n"
+    with pytest.raises(ScenarioError, match=rf"^\[{section}\]: {key}"):
+        parse_scenario(text)

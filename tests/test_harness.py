@@ -3,6 +3,7 @@
 import math
 import os
 import random
+from importlib import resources
 
 import pytest
 
@@ -378,3 +379,15 @@ height = 8
 s0 = 2 2 0
 s1 = 5 5 0
 """
+
+
+def test_large_appraisal_gains_run_to_the_horizon():
+    # Scaled bank deltas can leave the PAD cube (choleric: 0.6 x 1.9 on
+    # dominance); only their clamped sum is a point, so the trial runs on.
+    text = resources.files("affectsim").joinpath("scenarios/scenario1.ini").read_text(encoding="utf-8")
+    spec = parse_scenario(text + "\n[appraisal_gains]\nmax_step = 0.6\nevent_gain = 0.6\n")
+    metrics = run_trial(spec, homogeneous_team(TemperamentKind.CHOLERIC), seed=0, t_max=200)
+    for agent in metrics.agents:
+        assert len(agent.trajectory) == 201
+        for point in agent.trajectory:
+            assert all(-10.0 <= value <= 10.0 for value in point)

@@ -16,7 +16,7 @@ from affectsim.net import (
     run_networked_trial,
 )
 from affectsim.temperament import TemperamentKind
-from affectsim.wire import MotorCommand, Motors, decode, encode
+from affectsim.wire import MotorCommand, Motors, WireError, decode, encode
 
 SMALL = """
 [arena]
@@ -113,6 +113,35 @@ def test_malformed_line_is_echoed_as_parse_error():
     finally:
         session.close()
         peer.close()
+
+
+def test_non_ascii_line_is_a_parse_error_and_the_session_lives():
+    session, peer, writer = _session_pair()
+    peer.settimeout(5.0)
+    reader = peer.makefile("r", encoding="ascii", newline="\n")
+    try:
+        peer.sendall("MOT 0 0.\u00e90 0\n".encode("utf-8"))
+        reply = decode(reader.readline())
+        assert isinstance(reply, WireError) and reply.code == "parse"
+        assert session.alive
+        writer.write(encode(Motors(0, MotorCommand(0.25, -0.25))))
+        writer.flush()
+        assert session.collect(0, time.monotonic() + 5.0) == MotorCommand(0.25, -0.25)
+    finally:
+        session.close()
+        peer.close()
+
+
+def test_non_ascii_registration_is_refused():
+    spec = parse_scenario(SMALL)
+    with SimulationServer(spec, TEAM, seed=0) as server:
+        conn, reader = _connect(server.port)
+        conn.settimeout(5.0)
+        conn.sendall(b"REG agent \xff\n")
+        reply = decode(reader.readline())
+        assert reply.code == "register"
+        assert not server.sessions
+        conn.close()
 
 
 def test_non_motors_message_is_rejected():

@@ -17,7 +17,6 @@ from affectsim.pad import (
     new_state,
     octant_label,
     scale_for_report,
-    trajectory,
 )
 
 
@@ -111,30 +110,28 @@ def test_big_five_is_linear():
 
 def test_integrate_sums_componentwise():
     state = new_state()
-    deltas = [PadVector(0.1, 0.0, -0.1), PadVector(0.2, 0.3, 0.0)]
+    deltas = [(0.1, 0.0, -0.1), (0.2, 0.3, 0.0)]
     out = integrate_appraisals(state, deltas, cycle=0)
     assert out.current.pleasure == pytest.approx(0.3)
     assert out.current.arousal == pytest.approx(0.3)
     assert out.current.dominance == pytest.approx(-0.1)
-    assert out.history == ((0, out.current),)
+    assert out.last_cycle == 0
     # the input state is untouched
     assert state.current == PadVector()
-    assert state.history == ()
+    assert state.last_cycle == -1
 
 
 def test_integrate_clamps_to_cube():
     state = new_state(PadVector(0.95, -0.95, 0.0))
-    out = integrate_appraisals(
-        state, [PadVector(0.2, -0.2, 0.0), PadVector(0.2, -0.2, 0.0)], cycle=3
-    )
+    out = integrate_appraisals(state, [(0.2, -0.2, 0.0), (0.2, -0.2, 0.0)], cycle=3)
     assert out.current == PadVector(1.0, -1.0, 0.0)
 
 
 def test_integrate_requires_advancing_cycles():
     state = new_state()
-    state = integrate_appraisals(state, [PadVector(0.1, 0.0, 0.0)], cycle=5)
+    state = integrate_appraisals(state, [(0.1, 0.0, 0.0)], cycle=5)
     with pytest.raises(CycleOrderError):
-        integrate_appraisals(state, [PadVector(0.1, 0.0, 0.0)], cycle=5)
+        integrate_appraisals(state, [(0.1, 0.0, 0.0)], cycle=5)
     with pytest.raises(CycleOrderError):
         integrate_appraisals(state, [], cycle=2)
     # a later cycle is fine, gaps allowed
@@ -142,13 +139,18 @@ def test_integrate_requires_advancing_cycles():
     assert out.last_cycle == 9
 
 
-def test_trajectory_records_in_order():
+def test_last_cycle_follows_integration_in_order():
     state = new_state()
     for cycle in (1, 4, 6):
-        state = integrate_appraisals(state, [PadVector(0.1, 0.0, 0.0)], cycle)
-    cycles = [c for c, _ in trajectory(state)]
-    assert cycles == [1, 4, 6]
-    assert trajectory(state)[-1][1] == state.current
+        state = integrate_appraisals(state, [(0.1, 0.0, 0.0)], cycle)
+        assert state.last_cycle == cycle
+    assert state.current.pleasure == pytest.approx(0.3)
+
+
+def test_deltas_may_leave_the_cube_before_the_clamp():
+    # Deltas are not points: only the clamped sum is validated.
+    state = integrate_appraisals(new_state(), [(1.5, -2.5, 0.3), (0.2, 0.0, -1.4)], cycle=0)
+    assert state.current == PadVector(1.0, -1.0, -1.0)
 
 
 def test_clamp_component():

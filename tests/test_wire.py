@@ -247,3 +247,10 @@ def test_register_validation():
 def test_error_text_normalization_enforced():
     with pytest.raises(ValueError, match="normalized"):
         WireError("x", "two  spaces")
+
+
+@pytest.mark.parametrize("line", ["MOT \u0661 0 0", "MOT 0 \u0660.5 0", "FIN \u0661\u0662"])
+def test_non_ascii_digits_are_parse_errors(line):
+    reply = decode(line)
+    assert isinstance(reply, WireError)
+    assert reply.code == "parse"

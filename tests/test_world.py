@@ -15,7 +15,6 @@ from affectsim.world import (
     World,
     apply_motors,
     sense,
-    step_world,
     wrap_angle,
 )
 
@@ -289,8 +288,7 @@ def test_clear_field_noise_bias_is_small():
 
 def test_step_advances_cycle_and_returns_readings():
     world = _world([AgentBody(0, 2.0, 2.0, 0.0)])
-    world2, readings = step_world(world, {0: MotorCommand(1.0, 1.0)})
-    assert world2 is world
+    readings = world.step({0: MotorCommand(1.0, 1.0)})
     assert world.cycle == 1
     assert 0 in readings
     assert world.body(0).x > 2.0
