@@ -19,6 +19,7 @@ from typing import List, Optional
 from .harness import (
     T_MAX,
     TeamSpec,
+    TrialRecorder,
     agent_rows_for_trial,
     builtin_teams,
     read_metrics_csv,
@@ -51,20 +52,17 @@ def _print_trial(metrics) -> None:
     )
 
 
-def _write_trial(metrics, out_dir: str, stride: int) -> None:
-    rows = agent_rows_for_trial(metrics)
-    write_metrics_csv(rows, f"{out_dir}/metrics.csv")
-    write_summary_csv(summarize(rows), f"{out_dir}/summary.csv")
-    write_trajectories(metrics, out_dir, stride=stride)
-    print(f"wrote metrics.csv, summary.csv and trajectories to {out_dir}")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    metrics = run_trial(args.scenario, _team(args.team), args.seed, t_max=args.max_cycles)
+    recorder = TrialRecorder()
+    metrics = run_trial(args.scenario, _team(args.team), args.seed, args.max_cycles, recorder)
     _print_trial(metrics)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_trial(metrics, args.out, 1 if args.full_traj else 10)
+        rows = agent_rows_for_trial(metrics, recorder)
+        write_metrics_csv(rows, os.path.join(args.out, "metrics.csv"))
+        write_summary_csv(summarize(rows, args.max_cycles), os.path.join(args.out, "summary.csv"))
+        write_trajectories(metrics, args.out, stride=1 if args.full_traj else 10)
+        print(f"wrote metrics.csv, summary.csv and trajectories to {args.out}")
     return 0
 
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .appraisal import GainConfig, ThresholdConfig
+from .pad import check_range
 from .temperament import TemperamentConfig, TemperamentKind, TemperamentProfile
 from .world import AgentBody, Arena, PhysicsConfig, Rect, World, placement_error
 
@@ -45,42 +46,24 @@ class ScenarioSpec:
 
 BUILTIN_SCENARIOS = ("scenario1", "scenario2", "scenario3", "social")
 
-_PHYSICS_KEYS = {
-    "cycle_period",
-    "v_max",
-    "body_radius",
-    "base_reach",
-    "sigma_prox",
-    "sigma_angle",
-    "motor_floor",
-    "reach_floor",
-    "vision_half_angle_deg",
-}
-_ARENA_KEYS = {"name", "width", "height"} | _PHYSICS_KEYS
+# Config fields set in degrees; their scenario keys carry a "_deg"
+# suffix. Both are half-angles, so a key lies in [0, 180]. Other angles
+# (sigma_angle) are set in radians.
+_DEGREE_FIELDS = {"vision_half_angle", "clear_path_angle"}
+
+
+def _keys(config_type) -> Dict[str, str]:
+    """Scenario key -> field name, for every field of a config class."""
+    return {
+        f.name + ("_deg" if f.name in _DEGREE_FIELDS else ""): f.name
+        for f in fields(config_type)
+    }
+
+
+_ARENA_KEYS = {"name", "width", "height"} | set(_keys(PhysicsConfig))
 _BEACON_KEYS = {"x", "y", "radius"}
-_TEMPERAMENT_KEYS = {
-    "upper_band",
-    "lower_band",
-    "drift_rate",
-    "anxiety_choleric",
-    "anxiety_sanguine",
-    "anxiety_phlegmatic",
-    "anxiety_melancholic",
-}
-_GAIN_KEYS = {"max_step", "event_gain", "excitation_threat_boost"}
-_THRESHOLD_KEYS = {
-    "wall_ahead_prox",
-    "occlusion_prox",
-    "clear_path_angle_deg",
-    "comfort_pleasure",
-    "idle_mobility",
-    "danger_radius",
-    "social_radius",
-    "recover_cycles",
-    "steer_gain",
-    "wander_base",
-    "wander_span",
-}
+_ANXIETY_KEYS = {f"anxiety_{kind.value}": kind for kind in TemperamentKind}
+_TEMPERAMENT_KEYS = {"upper_band", "lower_band", "drift_rate"} | set(_ANXIETY_KEYS)
 _SECTIONS = {
     "arena",
     "walls",
@@ -115,21 +98,21 @@ def _get_float(section: Mapping[str, str], key: str, default: float, where: str)
         raise _fail(where, f"{key} must be a number, got {section[key]!r}") from None
 
 
-def _overrides(section: Mapping[str, str], keys: set, where: str) -> Dict[str, float]:
-    """The section's numeric keys among `keys`, as config fields.
+def _overrides(section: Mapping[str, str], config_type, where: str) -> Dict[str, float]:
+    """The section's numeric keys for fields of `config_type`, by field.
 
-    A `<field>_deg` key sets `<field>` in radians. Omitted keys are left
-    out, so the config keeps its defaults for them.
+    A degree key is range-checked in degrees and set in radians. Omitted
+    keys are left out, so the config keeps its defaults for them.
     """
-    fields = {}
+    keys = _keys(config_type)
+    values = {}
     for key in section:
         if key in keys:
             value = _get_float(section, key, 0.0, where)
-            if key.endswith("_deg"):
-                fields[key[: -len("_deg")]] = math.radians(value)
-            else:
-                fields[key] = value
-    return fields
+            if keys[key] in _DEGREE_FIELDS:
+                value = math.radians(_build(where, check_range, key, value, 0.0, 180.0))
+            values[keys[key]] = value
+    return values
 
 
 def _build(where: str, make, *args, **kwargs):
@@ -149,17 +132,20 @@ def _check_keys(name: str, section: Mapping[str, str], allowed: set) -> None:
 def parse_scenario(source, name: Optional[str] = None) -> ScenarioSpec:
     """Parse a scenario from a path or from inline text (contains newlines)."""
     parser = configparser.ConfigParser(interpolation=None)
-    if isinstance(source, str) and "\n" in source:
-        parser.read_string(source)
-        default_name = "inline"
-    else:
-        path = os.fspath(source)
-        if not os.path.exists(path):
-            raise _fail(path, "no such scenario file")
-        read = parser.read(path)
-        if not read:
-            raise _fail(path, "unreadable scenario file")
-        default_name = os.path.splitext(os.path.basename(path))[0]
+    try:
+        if isinstance(source, str) and "\n" in source:
+            parser.read_string(source)
+            default_name = "inline"
+        else:
+            path = os.fspath(source)
+            if not os.path.exists(path):
+                raise _fail(path, "no such scenario file")
+            if not parser.read(path):
+                raise _fail(path, "unreadable scenario file")
+            default_name = os.path.splitext(os.path.basename(path))[0]
+    except configparser.Error as exc:
+        # Duplicate keys, lines outside a section, lines without "=".
+        raise _fail("scenario", " ".join(str(exc).split())) from None
 
     unknown = set(parser.sections()) - _SECTIONS
     if unknown:
@@ -175,7 +161,7 @@ def parse_scenario(source, name: Optional[str] = None) -> ScenarioSpec:
     width = _get_float(arena_sec, "width", 0.0, "[arena]")
     height = _get_float(arena_sec, "height", 0.0, "[arena]")
 
-    physics = _build("[arena]", PhysicsConfig, **_overrides(arena_sec, _PHYSICS_KEYS, "[arena]"))
+    physics = _build("[arena]", PhysicsConfig, **_overrides(arena_sec, PhysicsConfig, "[arena]"))
 
     walls: List[Rect] = []
     if "walls" in parser:
@@ -208,18 +194,17 @@ def parse_scenario(source, name: Optional[str] = None) -> ScenarioSpec:
 
     temperament = TemperamentConfig()
     if "temperament" in parser:
-        sec = parser["temperament"]
+        sec, where = parser["temperament"], "[temperament]"
         _check_keys("temperament", sec, _TEMPERAMENT_KEYS)
-        fields = _overrides(sec, {"drift_rate"}, "[temperament]")
+        values = {"drift_rate": _get_float(sec, "drift_rate", temperament.drift_rate, where)}
         for band in ("upper_band", "lower_band"):
             if band in sec:
-                fields[band] = tuple(_floats(f"[temperament] {band}", sec[band], 2))
+                values[band] = tuple(_floats(f"{where} {band}", sec[band], 2))
         anxiety = dict(temperament.anxiety)
-        for kind in TemperamentKind:
-            key = f"anxiety_{kind.value}"
+        for key, kind in _ANXIETY_KEYS.items():
             if key in sec:
-                anxiety[kind] = _get_float(sec, key, 0.0, "[temperament]")
-        temperament = _build("[temperament]", TemperamentConfig, anxiety=anxiety, **fields)
+                anxiety[kind] = _get_float(sec, key, 0.0, where)
+        temperament = _build(where, TemperamentConfig, anxiety=anxiety, **values)
 
     spec = ScenarioSpec(
         name=name or arena_sec.get("name", default_name),
@@ -227,21 +212,21 @@ def parse_scenario(source, name: Optional[str] = None) -> ScenarioSpec:
         spawns=tuple(spawns),
         physics=physics,
         temperament=temperament,
-        gains=_section_config(parser, "appraisal_gains", _GAIN_KEYS, GainConfig),
-        thresholds=_section_config(parser, "thresholds", _THRESHOLD_KEYS, ThresholdConfig),
+        gains=_section_config(parser, "appraisal_gains", GainConfig),
+        thresholds=_section_config(parser, "thresholds", ThresholdConfig),
     )
     _validate_spawns(spec)
     return spec
 
 
-def _section_config(parser: configparser.ConfigParser, name: str, keys: set, make):
-    """The config `make` builds from the overrides in section [name]."""
+def _section_config(parser: configparser.ConfigParser, name: str, config_type):
+    """The `config_type` built from the overrides in section [name]."""
     if name not in parser:
-        return make()
+        return config_type()
     section = parser[name]
-    _check_keys(name, section, keys)
+    _check_keys(name, section, set(_keys(config_type)))
     where = f"[{name}]"
-    return _build(where, make, **_overrides(section, keys, where))
+    return _build(where, config_type, **_overrides(section, config_type, where))
 
 
 def _validate_spawns(spec: ScenarioSpec) -> None:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import Field, dataclass, field, fields
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -339,41 +339,18 @@ def run_trial(
 
 _BEHAVIOR_COLUMNS = [b.name.lower() for b in Behavior]
 
-METRICS_HEADER = [
-    "scenario",
-    "team",
-    "seed",
-    "slot",
-    "kind",
-    "finished",
-    "time_cycles",
-    "mean_pleasure",
-    "mean_arousal",
-    "mean_dominance",
-] + _BEHAVIOR_COLUMNS
-
 _KINDS = [k.value for k in TemperamentKind]
 
-SUMMARY_HEADER = (
-    [
-        "scenario",
-        "team",
-        "trials",
-        "mean_time_mean",
-        "mean_time_std",
-        "best_time_mean",
-        "best_time_std",
-        "pleasure",
-        "arousal",
-        "dominance",
-    ]
-    + [f"{axis}_{kind}" for kind in _KINDS for axis in ("pleasure", "arousal", "dominance")]
-)
+_AXES = ("pleasure", "arousal", "dominance")
 
 
 @dataclass(frozen=True)
 class AgentRow:
-    """One metrics.csv row: an agent's aggregate over one trial."""
+    """One metrics.csv row: an agent's aggregate over one trial.
+
+    The fields are the CSV's columns, in order; the last one spreads
+    over one column per behavior.
+    """
 
     scenario: str
     team: str
@@ -390,7 +367,11 @@ class AgentRow:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """One summary.csv row: a (scenario, team) cell over its seeds."""
+    """One summary.csv row: a (scenario, team) cell over its seeds.
+
+    The fields are the CSV's columns, in order; the last one spreads
+    over `<axis>_<kind>` columns, empty for a kind not on the team.
+    """
 
     scenario: str
     team: str
@@ -403,6 +384,18 @@ class CellSummary:
     arousal: float
     dominance: float
     by_kind: Tuple[Tuple[str, Tuple[float, float, float]], ...]
+
+
+def _scalar_fields(row_type) -> Tuple[Field, ...]:
+    """Every field of a CSV row type but the last, which spreads over columns."""
+    return fields(row_type)[:-1]
+
+
+METRICS_HEADER = [f.name for f in _scalar_fields(AgentRow)] + _BEHAVIOR_COLUMNS
+
+SUMMARY_HEADER = [f.name for f in _scalar_fields(CellSummary)] + [
+    f"{axis}_{kind}" for kind in _KINDS for axis in _AXES
+]
 
 
 @dataclass(frozen=True)
@@ -426,12 +419,7 @@ def agent_rows_for_trial(
 ) -> List[AgentRow]:
     rows = []
     for agent in metrics.agents:
-        counts = ()
-        if recorder is not None:
-            per_slot = recorder.behavior_counts.get(agent.slot, {})
-            counts = tuple(per_slot.get(b, 0) for b in Behavior)
-        else:
-            counts = tuple(0 for _ in Behavior)
+        per_slot = recorder.behavior_counts.get(agent.slot, {}) if recorder is not None else {}
         rows.append(
             AgentRow(
                 scenario=metrics.scenario,
@@ -444,7 +432,7 @@ def agent_rows_for_trial(
                 mean_pleasure=_traj_mean(agent.trajectory, 0),
                 mean_arousal=_traj_mean(agent.trajectory, 1),
                 mean_dominance=_traj_mean(agent.trajectory, 2),
-                behaviors=counts,
+                behaviors=tuple(per_slot.get(b, 0) for b in Behavior),
             )
         )
     return rows
@@ -459,64 +447,53 @@ def _pstdev(xs: Sequence[float]) -> float:
     return math.sqrt(sum((x - m) ** 2 for x in xs) / len(xs))
 
 
+def _pad_means(rows: Sequence[AgentRow]) -> Tuple[float, float, float]:
+    return (
+        _mean([r.mean_pleasure for r in rows]),
+        _mean([r.mean_arousal for r in rows]),
+        _mean([r.mean_dominance for r in rows]),
+    )
+
+
 def summarize(agent_rows: Sequence[AgentRow], t_max: int = T_MAX) -> Tuple[CellSummary, ...]:
     """Aggregate agent rows into per-cell summaries.
 
+    Cells, and seeds within a cell, come in order of first appearance.
     Works identically on freshly computed rows and on rows read back from
     metrics.csv, which is what makes the CSV round-trip exact.
     """
-    order: List[Tuple[str, str]] = []
     groups: Dict[Tuple[str, str], List[AgentRow]] = {}
     for row in agent_rows:
-        key = (row.scenario, row.team)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row.scenario, row.team), []).append(row)
     cells = []
-    for key in order:
-        rows = groups[key]
-        seeds: List[int] = []
+    for (scenario, team), rows in groups.items():
         by_seed: Dict[int, List[AgentRow]] = {}
         for row in rows:
-            if row.seed not in by_seed:
-                by_seed[row.seed] = []
-                seeds.append(row.seed)
-            by_seed[row.seed].append(row)
-        means = []
-        bests = []
-        for seed in seeds:
-            mean, best = score_team(
-                [(r.finished, r.time_cycles) for r in by_seed[seed]], t_max
-            )
-            means.append(mean)
-            bests.append(best)
+            by_seed.setdefault(row.seed, []).append(row)
+        scores = [
+            score_team([(r.finished, r.time_cycles) for r in seed_rows], t_max)
+            for seed_rows in by_seed.values()
+        ]
+        means = [mean for mean, _ in scores]
+        bests = [best for _, best in scores]
         by_kind = []
         for kind in _KINDS:
             krows = [r for r in rows if r.kind == kind]
             if krows:
-                by_kind.append(
-                    (
-                        kind,
-                        (
-                            _mean([r.mean_pleasure for r in krows]),
-                            _mean([r.mean_arousal for r in krows]),
-                            _mean([r.mean_dominance for r in krows]),
-                        ),
-                    )
-                )
+                by_kind.append((kind, _pad_means(krows)))
+        pleasure, arousal, dominance = _pad_means(rows)
         cells.append(
             CellSummary(
-                scenario=key[0],
-                team=key[1],
-                trials=len(seeds),
+                scenario=scenario,
+                team=team,
+                trials=len(by_seed),
                 mean_time_mean=_mean(means),
                 mean_time_std=_pstdev(means),
                 best_time_mean=_mean(bests),
                 best_time_std=_pstdev(bests),
-                pleasure=_mean([r.mean_pleasure for r in rows]),
-                arousal=_mean([r.mean_arousal for r in rows]),
-                dominance=_mean([r.mean_dominance for r in rows]),
+                pleasure=pleasure,
+                arousal=arousal,
+                dominance=dominance,
                 by_kind=tuple(by_kind),
             )
         )
@@ -583,26 +560,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _scalar_cells(row) -> List[str]:
+    return [_fmt(getattr(row, f.name)) for f in _scalar_fields(type(row))]
+
+
+# (name, parse) per scalar metrics.csv column, keyed by the field's type;
+# a column whose type has no parser fails here, at import.
+_CELL_PARSERS = {str: str, int: int, float: float, bool: lambda cell: cell == "1"}
+_HINTS = get_type_hints(AgentRow)
+_METRICS_PARSERS = [(f.name, _CELL_PARSERS[_HINTS[f.name]]) for f in _scalar_fields(AgentRow)]
+
+
 def write_metrics_csv(rows: Sequence[AgentRow], path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(METRICS_HEADER)
         for r in rows:
-            writer.writerow(
-                [
-                    r.scenario,
-                    r.team,
-                    r.seed,
-                    r.slot,
-                    r.kind,
-                    _fmt(r.finished),
-                    r.time_cycles,
-                    _fmt(r.mean_pleasure),
-                    _fmt(r.mean_arousal),
-                    _fmt(r.mean_dominance),
-                ]
-                + [str(c) for c in r.behaviors]
-            )
+            writer.writerow(_scalar_cells(r) + [str(c) for c in r.behaviors])
 
 
 def read_metrics_csv(path: str) -> List[AgentRow]:
@@ -613,22 +587,9 @@ def read_metrics_csv(path: str) -> List[AgentRow]:
         if header != METRICS_HEADER:
             raise ValueError(f"{path}: unexpected metrics header {header!r}")
         for rec in reader:
-            fixed, counts = rec[:10], rec[10:]
-            rows.append(
-                AgentRow(
-                    scenario=fixed[0],
-                    team=fixed[1],
-                    seed=int(fixed[2]),
-                    slot=int(fixed[3]),
-                    kind=fixed[4],
-                    finished=fixed[5] == "1",
-                    time_cycles=int(fixed[6]),
-                    mean_pleasure=float(fixed[7]),
-                    mean_arousal=float(fixed[8]),
-                    mean_dominance=float(fixed[9]),
-                    behaviors=tuple(int(c) for c in counts),
-                )
-            )
+            values = {name: parse(cell) for (name, parse), cell in zip(_METRICS_PARSERS, rec)}
+            counts = tuple(int(c) for c in rec[len(_METRICS_PARSERS) :])
+            rows.append(AgentRow(**values, behaviors=counts))
     return rows
 
 
@@ -638,23 +599,9 @@ def write_summary_csv(cells: Sequence[CellSummary], path: str) -> None:
         writer.writerow(SUMMARY_HEADER)
         for c in cells:
             kinds = dict(c.by_kind)
-            row = [
-                c.scenario,
-                c.team,
-                c.trials,
-                _fmt(c.mean_time_mean),
-                _fmt(c.mean_time_std),
-                _fmt(c.best_time_mean),
-                _fmt(c.best_time_std),
-                _fmt(c.pleasure),
-                _fmt(c.arousal),
-                _fmt(c.dominance),
-            ]
+            row = _scalar_cells(c)
             for kind in _KINDS:
-                if kind in kinds:
-                    row += [_fmt(v) for v in kinds[kind]]
-                else:
-                    row += ["", "", ""]
+                row += [_fmt(v) for v in kinds[kind]] if kind in kinds else ["", "", ""]
             writer.writerow(row)
 
 

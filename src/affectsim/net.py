@@ -50,13 +50,14 @@ from .wire import (
     decode,
     encode,
 )
-from .world import MotorCommand, SensorReadings
+from .world import MotorCommand, SensorReadings, wrap_angle
 
 log = logging.getLogger("affectsim.net")
 
 
 class _Session:
-    """One client connection: writer plus a cycle-keyed Motors mailbox."""
+    """One client connection: writer plus a Motors mailbox that holds at
+    most the answer to the last Sensors sent (PROTOCOL.md, Mailbox discipline)."""
 
     def __init__(self, conn: socket.socket, role: str, name: str) -> None:
         self.conn = conn
@@ -67,16 +68,24 @@ class _Session:
         # answered, not raise inside the reader and end the session.
         self.reader = conn.makefile("rb")
         self.cond = threading.Condition()
-        self.mailbox: Dict[int, MotorCommand] = {}
+        self.asked: Optional[int] = None  # cycle of the last Sensors sent
+        self.answer: Optional[MotorCommand] = None  # its unread Motors
         self.alive = True
         self.dup_warnings = 0
         self.stale_warnings = 0
+        self.early_warnings = 0
         self.drops = 0
         self._wlock = threading.Lock()
 
     def send(self, msg) -> bool:
         if not self.alive:
             return False
+        if isinstance(msg, Sensors):
+            with self.cond:  # an unread answer to an earlier Sensors is stale
+                if self.answer is not None:
+                    self.stale_warnings += 1
+                self.answer = None
+                self.asked = msg.cycle
         try:
             with self._wlock:
                 self.conn.sendall(encode(msg).encode("ascii"))
@@ -96,11 +105,7 @@ class _Session:
             for line in self.reader:
                 msg = decode(line.decode("ascii", "replace"))
                 if isinstance(msg, Motors):
-                    with self.cond:
-                        if msg.cycle in self.mailbox:
-                            self.dup_warnings += 1  # last write wins
-                        self.mailbox[msg.cycle] = msg.command
-                        self.cond.notify_all()
+                    self._receive(msg)
                 elif isinstance(msg, WireError):
                     self.send(msg)
                 else:
@@ -109,20 +114,29 @@ class _Session:
             pass
         self.mark_dead()
 
+    def _receive(self, msg: Motors) -> None:
+        with self.cond:
+            if self.asked is None or msg.cycle > self.asked:
+                self.early_warnings += 1
+            elif msg.cycle < self.asked:
+                self.stale_warnings += 1
+            else:
+                if self.answer is not None:
+                    self.dup_warnings += 1  # last write wins
+                self.answer = msg.command
+                self.cond.notify_all()
+
     def collect(self, cycle: int, deadline: Optional[float]) -> Optional[MotorCommand]:
         """Take this cycle's command; None means coast.
 
         Lockstep (deadline None) blocks until the command arrives or the
-        session dies. Commands tagged with old cycles are discarded with
-        a warning and are never applied.
+        session dies.
         """
         with self.cond:
             while True:
-                for stale in [c for c in self.mailbox if c < cycle]:
-                    del self.mailbox[stale]
-                    self.stale_warnings += 1
-                if cycle in self.mailbox:
-                    return self.mailbox.pop(cycle)
+                if cycle == self.asked and self.answer is not None:
+                    answer, self.answer = self.answer, None
+                    return answer
                 if not self.alive:
                     return None
                 if deadline is None:
@@ -311,7 +325,7 @@ class SimulationServer:
                     body.agent_id,
                     body.x,
                     body.y,
-                    body.heading,
+                    wrap_angle(body.heading),  # a spawn heading may lie past pi
                     body.broadcast_label,
                     reported[0],
                     reported[1],

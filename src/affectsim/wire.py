@@ -12,14 +12,20 @@ agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
-from .pad import EmotionLabel
+from .pad import EmotionLabel, check_range
 from .world import MotorCommand, SensorReadings, VisionContact
 
 ROLE_AGENT = "agent"
 ROLE_VIEWER = "viewer"
+
+# Angles on the wire lie in [-pi, pi) before quantization; q6(-pi) is
+# -3.141593, just below -pi, so decoded angles are held to +-q6(pi).
+_ANGLE = (-3.141593, 3.141593)
+_PAD = (-10.0, 10.0)  # reported PAD scale
 
 
 def q6(x: float) -> float:
@@ -193,8 +199,9 @@ class _Cursor:
             raise ValueError(f"expected integer, got {tok!r}")
         return int(tok)
 
-    def take_real(self) -> float:
-        return float(self.take())
+    def take_real(self, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+        """The next token as a finite real in [lo, hi]."""
+        return check_range(name, float(self.take()), lo, hi)
 
     def take_bool(self) -> bool:
         tok = self.take()
@@ -233,20 +240,24 @@ def decode(line: str) -> WireMessage:
         if tag == "REG":
             msg: WireMessage = Register(cur.take(), cur.take())
         elif tag == "WEL":
-            msg = Welcome(cur.take_int(), cur.take_real())
+            msg = Welcome(cur.take_int(), cur.take_real("cycle_period"))
         elif tag == "SEN":
             cycle = cur.take_int()
-            prox = (cur.take_real(), cur.take_real(), cur.take_real())
+            prox = tuple(cur.take_real("proximity", 0.0, 1.0) for _ in range(3))
             btok = cur.take()
-            beacon = None if btok == "-" else float(btok)
-            compass = cur.take_real()
+            beacon = None if btok == "-" else check_range("beacon", float(btok), *_ANGLE)
+            compass = cur.take_real("compass", *_ANGLE)
             ground = cur.take_bool()
             collision = cur.take_bool()
             n = cur.take_int()
             if n < 0:
                 raise ValueError("negative vision count")
             vision = tuple(
-                VisionContact(cur.take_real(), cur.take_real(), cur.take_label())
+                VisionContact(
+                    cur.take_real("bearing", *_ANGLE),
+                    cur.take_real("distance", 0.0),
+                    cur.take_label(),
+                )
                 for _ in range(n)
             )
             msg = Sensors(
@@ -254,7 +265,8 @@ def decode(line: str) -> WireMessage:
                 SensorReadings(prox, beacon, compass, ground, collision, vision),
             )
         elif tag == "MOT":
-            msg = Motors(cur.take_int(), MotorCommand(cur.take_real(), cur.take_real()))
+            cycle = cur.take_int()
+            msg = Motors(cycle, MotorCommand(cur.take_real("left"), cur.take_real("right")))
         elif tag == "VIEW":
             cycle = cur.take_int()
             n = cur.take_int()
@@ -263,13 +275,13 @@ def decode(line: str) -> WireMessage:
             poses = tuple(
                 PoseReport(
                     cur.take_int(),
-                    cur.take_real(),
-                    cur.take_real(),
-                    cur.take_real(),
+                    cur.take_real("x"),
+                    cur.take_real("y"),
+                    cur.take_real("heading", *_ANGLE),
                     cur.take_label(),
-                    cur.take_real(),
-                    cur.take_real(),
-                    cur.take_real(),
+                    cur.take_real("pleasure", *_PAD),
+                    cur.take_real("arousal", *_PAD),
+                    cur.take_real("dominance", *_PAD),
                 )
                 for _ in range(n)
             )

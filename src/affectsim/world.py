@@ -43,9 +43,6 @@ class Rect:
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError(f"degenerate rectangle {self!r}")
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
     def distance_to(self, x: float, y: float) -> float:
         cx = min(max(x, self.xmin), self.xmax)
         cy = min(max(y, self.ymin), self.ymax)
@@ -215,7 +212,6 @@ class AgentBody:
     power_left: float = 0.0  # filtered wheel powers
     power_right: float = 0.0
     collision_flag: bool = False
-    led_on: bool = False
     stopped: bool = False
     broadcast_label: EmotionLabel = EmotionLabel.EXUBERANT
 
@@ -284,7 +280,6 @@ class World:
         if profiles:
             self.profiles.update(profiles)
         self.cycle = 0
-        self.seed = seed
         # One noise stream per agent, keyed by slot so that agent order,
         # team composition, and early finishes cannot shift anyone's draws.
         self._rngs: Dict[int, np.random.Generator] = {
@@ -327,9 +322,6 @@ class World:
 
     def body(self, agent_id: int) -> AgentBody:
         return self._index[agent_id]
-
-    def profile(self, agent_id: int) -> Optional[TemperamentProfile]:
-        return self.profiles.get(agent_id)
 
     def reach(self, agent_id: int) -> float:
         profile = self.profiles.get(agent_id)
@@ -393,9 +385,6 @@ class World:
                 body.collision_flag = True
                 rolled.add(agent_id)
 
-        for body in self.bodies:
-            if self.in_arrival_zone(body.x, body.y):
-                body.led_on = True
         self.cycle += 1
         return self.sense_active()
 
@@ -455,11 +444,7 @@ def _circle_distances(
 _RAY_OFFSETS = (0.0, math.pi / 3.0, -math.pi / 3.0)  # front, left, right
 
 
-def _sweep(
-    world: World,
-    ids: Sequence[int],
-    rng_map: Optional[Mapping[int, np.random.Generator]] = None,
-) -> Dict[int, SensorReadings]:
+def _sweep(world: World, ids: Sequence[int]) -> Dict[int, SensorReadings]:
     """Sensor sweep for several agents in one vectorized pass.
 
     Noise is still drawn per agent from that agent's own stream, in the
@@ -493,7 +478,7 @@ def _sweep(
     out: Dict[int, SensorReadings] = {}
     for k, agent_id in enumerate(ids):
         body = bodies[rows[k]]
-        rng = rng_map[agent_id] if rng_map is not None else world._rngs[agent_id]
+        rng = world._rngs[agent_id]
         noise = rng.normal(0.0, physics.sigma_prox, 3)
         prox = tuple(
             float(min(max(raw[k, i] + noise[i], 0.0), 1.0)) for i in range(3)
@@ -530,15 +515,12 @@ def _sweep(
     return out
 
 
-def sense(
-    world: World, agent_id: int, rng: Optional[np.random.Generator] = None
-) -> SensorReadings:
+def sense(world: World, agent_id: int) -> SensorReadings:
     """Noisy sensor sweep for one agent at the current world state.
 
     Proximity is the center-to-obstacle ray distance capped at the agent's
     reach, normalized and clamped to [0, 1] after Gaussian noise. Vision
     lists every other robot within reach and the frontal field of view,
-    ordered by agent id. Deterministic for a fixed noise stream.
+    ordered by agent id. Draws from the agent's own noise stream.
     """
-    rng_map = {agent_id: rng} if rng is not None else None
-    return _sweep(world, [agent_id], rng_map)[agent_id]
+    return _sweep(world, [agent_id])[agent_id]

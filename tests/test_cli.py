@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from affectsim.cli import build_parser, main
+from affectsim.harness import read_metrics_csv
 
 SMALL = """
 [arena]
@@ -78,6 +79,27 @@ def test_run_prints_results_and_writes_csv(small_scenario, tmp_path, capsys):
     names = os.listdir(out_dir)
     assert "metrics.csv" in names and "summary.csv" in names
     assert any(n.startswith("pad_traj_") for n in names)
+
+
+def test_run_out_writes_what_the_matrix_writes(tmp_path, capsys):
+    # Same (scenario, team, seed) and horizon: the same three files.
+    run_dir, matrix_dir = tmp_path / "run", tmp_path / "matrix"
+    horizon = ["--max-cycles", "300"]
+    assert main(["run", "--team", "mixed", "--seed", "0", *horizon, "--out", str(run_dir)]) == 0
+    assert (
+        main(
+            ["matrix", "--scenarios", "scenario1", "--teams", "mixed", "--runs", "1"]
+            + horizon
+            + ["--out", str(matrix_dir)]
+        )
+        == 0
+    )
+    names = sorted(os.listdir(matrix_dir))
+    assert sorted(os.listdir(run_dir)) == names
+    for name in names:
+        assert (run_dir / name).read_bytes() == (matrix_dir / name).read_bytes(), name
+    rows = read_metrics_csv(str(run_dir / "metrics.csv"))
+    assert [sum(r.behaviors) for r in rows] == [r.time_cycles for r in rows]
 
 
 def test_matrix_then_score_round_trip(small_scenario, tmp_path, capsys):

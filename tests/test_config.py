@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -15,7 +16,9 @@ from affectsim.config import (
     parse_scenario,
     resolve_scenario,
 )
-from affectsim.temperament import TemperamentKind, sample_profile
+from affectsim.appraisal import GainConfig, ThresholdConfig
+from affectsim.temperament import TemperamentConfig, TemperamentKind, sample_profile
+from affectsim.world import PhysicsConfig
 import numpy as np
 
 
@@ -287,4 +290,68 @@ def test_out_of_range_override_fails_at_parse_naming_its_section(section, line):
     else:
         text = MINIMAL + f"\n[{section}]\n{line}\n"
     with pytest.raises(ScenarioError, match=rf"^\[{section}\]: {key}"):
+        parse_scenario(text)
+
+
+def _with_lines(section, lines):
+    if section == "arena":
+        return MINIMAL.replace("width = 10", "width = 10\n" + "\n".join(lines))
+    return MINIMAL + f"\n[{section}]\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "section, config_type, attr",
+    [
+        ("arena", PhysicsConfig, "physics"),
+        ("temperament", TemperamentConfig, "temperament"),
+        ("appraisal_gains", GainConfig, "gains"),
+        ("thresholds", ThresholdConfig, "thresholds"),
+    ],
+)
+def test_every_config_field_is_settable_from_a_scenario(section, config_type, attr):
+    # Half of every default is a valid, non-default value for each field.
+    lines, expected = [], {}
+    for f in fields(config_type):
+        default = getattr(config_type(), f.name)
+        if isinstance(default, dict):
+            value = {kind: v / 2 for kind, v in default.items()}
+            lines += [f"anxiety_{kind.value} = {v!r}" for kind, v in value.items()]
+        elif isinstance(default, tuple):
+            value = tuple(v / 2 for v in default)
+            lines.append(f"{f.name} = " + " ".join(repr(v) for v in value))
+        elif isinstance(default, int):
+            value = default // 2
+            lines.append(f"{f.name} = {value}")
+        elif f.name in ("vision_half_angle", "clear_path_angle"):
+            degrees = math.degrees(default) / 2
+            value = math.radians(degrees)
+            lines.append(f"{f.name}_deg = {degrees!r}")
+        else:
+            value = default / 2
+            lines.append(f"{f.name} = {value!r}")
+        assert value != default
+        expected[f.name] = value
+    config = getattr(parse_scenario(_with_lines(section, lines)), attr)
+    assert {name: getattr(config, name) for name in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (MINIMAL.replace("height = 8", "height = 8\nwidth = 3"), r"^scenario: .*already exists"),
+        ("x = 1\n" + MINIMAL, r"^scenario: .*no section headers"),
+        (MINIMAL + "\n[walls]\nw0 1 1 2 2\n", r"^scenario: .*parsing errors"),
+        (
+            _with_lines("arena", ["vision_half_angle_deg = 200"]),
+            r"^\[arena\]: vision_half_angle_deg must lie in \[0, 180\]",
+        ),
+        (
+            _with_lines("thresholds", ["clear_path_angle_deg = -1"]),
+            r"^\[thresholds\]: clear_path_angle_deg must lie in \[0, 180\]",
+        ),
+    ],
+    ids=["duplicate key", "line before any section", "line without =", "vision", "clear path"],
+)
+def test_malformed_file_is_a_scenario_error_naming_its_key(text, match):
+    with pytest.raises(ScenarioError, match=match):
         parse_scenario(text)

@@ -11,7 +11,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_emotion_space.py", "02_temperaments.py", "03_single_trial.py"]
+    "demo",
+    [
+        "01_emotion_space.py",
+        "02_temperaments.py",
+        "03_single_trial.py",
+        "05_networked.py",
+        "06_sociality.py",
+    ],
 )
 def test_fast_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

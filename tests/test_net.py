@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from affectsim.config import parse_scenario
-from affectsim.harness import controller_for_slot, homogeneous_team, run_trial
+from affectsim.config import parse_scenario, resolve_scenario
+from affectsim.harness import controller_for_slot, homogeneous_team, mixed_team, run_trial
 from affectsim.net import (
     AgentClient,
     SimulationServer,
@@ -16,7 +16,8 @@ from affectsim.net import (
     run_networked_trial,
 )
 from affectsim.temperament import TemperamentKind
-from affectsim.wire import MotorCommand, Motors, WireError, decode, encode
+from affectsim.wire import MotorCommand, Motors, Sensors, WireError, decode, encode
+from affectsim.world import SensorReadings
 
 SMALL = """
 [arena]
@@ -41,6 +42,8 @@ s8 = 6 6 45
 """
 
 TEAM = homogeneous_team(TemperamentKind.SANGUINE)
+
+CLEAR = SensorReadings((1.0, 1.0, 1.0), None, 0.0, False, False)
 
 
 def _line(sock_file) -> str:
@@ -68,6 +71,7 @@ def _session_pair():
 def test_duplicate_motors_last_write_wins():
     session, peer, writer = _session_pair()
     try:
+        session.send(Sensors(3, CLEAR))
         writer.write(encode(Motors(3, MotorCommand(0.1, 0.1))))
         writer.write(encode(Motors(3, MotorCommand(0.9, -0.9))))
         writer.flush()
@@ -82,12 +86,34 @@ def test_duplicate_motors_last_write_wins():
 def test_stale_commands_are_discarded_with_warning():
     session, peer, writer = _session_pair()
     try:
+        session.send(Sensors(0, CLEAR))
         writer.write(encode(Motors(0, MotorCommand(0.5, 0.5))))
         writer.flush()
+        session.send(Sensors(1, CLEAR))
         deadline = time.monotonic() + 0.1
         assert session.collect(1, deadline) is None  # timed out, coast
         assert session.stale_warnings == 1
-        assert 0 not in session.mailbox
+        assert session.answer is None
+    finally:
+        session.close()
+        peer.close()
+
+
+def test_motors_ahead_of_sensors_are_discarded_and_the_mailbox_stays_bounded():
+    session, peer, writer = _session_pair()
+    try:
+        session.send(Sensors(0, CLEAR))
+        writer.write(encode(Motors(0, MotorCommand(0.5, -0.5))))
+        for cycle in range(1, 20_001):
+            writer.write(encode(Motors(cycle, MotorCommand(0.1, 0.1))))
+        writer.flush()
+        deadline = time.monotonic() + 20.0
+        while session.early_warnings < 20_000 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert session.early_warnings == 20_000
+        assert session.answer == MotorCommand(0.5, -0.5)  # the one command held
+        assert session.alive
+        assert session.collect(0, time.monotonic() + 5.0) == MotorCommand(0.5, -0.5)
     finally:
         session.close()
         peer.close()
@@ -124,6 +150,7 @@ def test_non_ascii_line_is_a_parse_error_and_the_session_lives():
         reply = decode(reader.readline())
         assert isinstance(reply, WireError) and reply.code == "parse"
         assert session.alive
+        session.send(Sensors(0, CLEAR))
         writer.write(encode(Motors(0, MotorCommand(0.25, -0.25))))
         writer.flush()
         assert session.collect(0, time.monotonic() + 5.0) == MotorCommand(0.25, -0.25)
@@ -256,6 +283,42 @@ def test_viewer_streams_frames_during_a_trial():
     assert cycles == sorted(cycles)
 
 
+def test_viewer_decodes_every_frame_of_a_social_trial():
+    # The social arena spawns bodies at 225, 270 and 315 degrees: raw
+    # spawn headings above pi that the first frame must still carry.
+    spec = resolve_scenario("social")
+    mixed = mixed_team()
+    server = SimulationServer(spec, mixed, seed=0, t_max=3).start()
+    frames = []
+    try:
+        viewer = ViewerClient("127.0.0.1", server.port)
+        watcher = threading.Thread(target=lambda: frames.extend(viewer.frames()), daemon=True)
+        watcher.start()
+        deadline = time.monotonic() + 10.0
+        while not server.viewers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.viewers, "viewer never registered"
+        threads = []
+        for i in range(9):
+            client = AgentClient(
+                "127.0.0.1",
+                server.port,
+                lambda slot: controller_for_slot(spec, mixed, 0, slot),
+                name=f"a{i}",
+            )
+            t = threading.Thread(target=client.run, daemon=True)
+            t.start()
+            threads.append(t)
+        server.run_trial()
+        watcher.join(timeout=5.0)
+        for t in threads:
+            t.join(timeout=5.0)
+    finally:
+        server.close()
+    assert [f.cycle for f in frames] == [0, 1, 2]
+    assert all(len(f.poses) == 9 for f in frames)
+
+
 def test_realtime_silent_agent_coasts_and_trial_still_ends():
     spec = parse_scenario(SMALL, name="small")
     server = SimulationServer(
@@ -273,7 +336,8 @@ def test_realtime_silent_agent_coasts_and_trial_still_ends():
             t = threading.Thread(target=client.run, daemon=True)
             t.start()
             threads.append(t)
-        # The ninth agent registers and then never answers a single cycle.
+        # The ninth agent registers last and then never answers a single cycle.
+        server.wait_for_agents(8, timeout=10.0)
         mute, mute_reader = _connect(server.port)
         mute.sendall(b"REG agent mute\n")
         assert decode(mute_reader.readline()).agent_id == 8

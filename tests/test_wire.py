@@ -254,3 +254,46 @@ def test_non_ascii_digits_are_parse_errors(line):
     reply = decode(line)
     assert isinstance(reply, WireError)
     assert reply.code == "parse"
+
+
+# -- ranges of SEN and VIEW reals ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("SEN 0 nan 5 1 - 99 0 0 0", "proximity"),
+        ("SEN 0 1 1.5 1 - 0 0 0 0", "proximity"),
+        ("SEN 0 1 1 -0.1 - 0 0 0 0", "proximity"),
+        ("SEN 0 1 1 1 3.2 0 0 0 0", "beacon"),
+        ("SEN 0 1 1 1 inf 0 0 0 0", "beacon"),
+        ("SEN 0 1 1 1 - 99 0 0 0", "compass"),
+        ("SEN 0 1 1 1 - 0 0 0 1 -3.15 1 BORED", "bearing"),
+        ("SEN 0 1 1 1 - 0 0 0 1 0 -1 BORED", "distance"),
+        ("SEN 0 1 1 1 - 0 0 0 1 0 nan BORED", "distance"),
+        ("VIEW 0 1 0 inf 1 0 EXUBERANT 50 0 0", "x"),
+        ("VIEW 0 1 0 1 nan 0 EXUBERANT 0 0 0", "y"),
+        ("VIEW 0 1 0 1 1 4 EXUBERANT 0 0 0", "heading"),
+        ("VIEW 0 1 0 1 1 0 EXUBERANT 50 0 0", "pleasure"),
+        ("VIEW 0 1 0 1 1 0 EXUBERANT 0 -10.5 0", "arousal"),
+        ("VIEW 0 1 0 1 1 0 EXUBERANT 0 0 inf", "dominance"),
+    ],
+)
+def test_out_of_range_sensor_and_view_reals_are_parse_errors(line, field):
+    reply = decode(line)
+    assert isinstance(reply, WireError)
+    assert reply.code == "parse"
+    assert reply.text.startswith(f"{field} must lie in")
+
+
+def test_angles_at_the_quantized_pi_decode():
+    # wrap_angle can return -pi, which the six-decimal grid rounds to
+    # -3.141593, just below -pi; such a sweep must still decode.
+    msg = decode("SEN 0 1 1 1 -3.141593 3.141593 0 0 1 -3.141593 0 BORED")
+    assert isinstance(msg, Sensors)
+    assert msg.readings.beacon_bearing == -3.141593
+    assert msg.readings.compass == 3.141593
+    assert msg.readings.vision[0].bearing == -3.141593
+    view = decode("VIEW 0 1 0 1 1 -3.141593 BORED -10 10 0")
+    assert isinstance(view, ViewFrame)
+    assert view.poses[0].heading == -3.141593

@@ -399,9 +399,3 @@ def test_seed_changes_noise():
     world_a = _world([AgentBody(0, 2.0, 2.0, 0.0)], physics=PhysicsConfig(), seed=1)
     world_b = _world([AgentBody(0, 2.0, 2.0, 0.0)], physics=PhysicsConfig(), seed=2)
     assert sense(world_a, 0) != sense(world_b, 0)
-
-
-def test_led_latches_in_arrival_zone():
-    world = _world([AgentBody(0, 5.5, 2.0, 0.0)], beacon=(6.0, 2.0))
-    world.step({0: MotorCommand(1.0, 1.0)})
-    assert world.body(0).led_on
