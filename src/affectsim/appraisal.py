@@ -54,7 +54,9 @@ class BankId(Enum):
 
 # Events the survival bank owns; these are also what the stress counter
 # sees. Everything else belongs to the goal/temperamental-needs bank.
-SURVIVAL_EVENTS = frozenset({EventKind.THREAT_VISIBLE, EventKind.WALL_COLLISION})
+# Enum constants here are tuples, not sets: `in` then tests identity
+# first instead of calling the Python-level Enum.__hash__.
+SURVIVAL_EVENTS = (EventKind.THREAT_VISIBLE, EventKind.WALL_COLLISION)
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,11 @@ class AppraisalResult:
 
 # "Happy" robots broadcast any positive-pleasure octant; "angry" is the
 # hostile octant specifically.
-HAPPY_LABELS = frozenset(
-    {
-        EmotionLabel.EXUBERANT,
-        EmotionLabel.DEPENDENT,
-        EmotionLabel.RELAXED,
-        EmotionLabel.DOCILE,
-    }
+HAPPY_LABELS = (
+    EmotionLabel.EXUBERANT,
+    EmotionLabel.DEPENDENT,
+    EmotionLabel.RELAXED,
+    EmotionLabel.DOCILE,
 )
 ANGRY_LABEL = EmotionLabel.HOSTILE
 
@@ -132,6 +132,16 @@ class ThresholdConfig:
         object.__setattr__(self, "recover_cycles", int(cycles))
 
 
+# Events that carry no bearing are the same every time; AppraisalEvent is
+# frozen, so one shared instance per kind serves every agent and cycle.
+_GOAL_LOST = AppraisalEvent(EventKind.GOAL_LOST, 1.0)
+_WALL_AHEAD = AppraisalEvent(EventKind.WALL_AHEAD, 1.0)
+_WALL_COLLISION = AppraisalEvent(EventKind.WALL_COLLISION, 1.0)
+_SOCIAL_NEED_MET = AppraisalEvent(EventKind.SOCIAL_NEED_MET, 1.0)
+_SOCIAL_NEED_UNMET = AppraisalEvent(EventKind.SOCIAL_NEED_UNMET, 1.0)
+_GOAL_REACHED = AppraisalEvent(EventKind.GOAL_REACHED, 1.0)
+
+
 def encode_events(
     readings: SensorReadings,
     profile: TemperamentProfile,
@@ -161,11 +171,11 @@ def encode_events(
                 )
             )
     elif prev_beacon_visible:
-        events.append(AppraisalEvent(EventKind.GOAL_LOST, 1.0))
+        events.append(_GOAL_LOST)
     if front < thresholds.wall_ahead_prox:
-        events.append(AppraisalEvent(EventKind.WALL_AHEAD, 1.0))
+        events.append(_WALL_AHEAD)
     if readings.collision:
-        events.append(AppraisalEvent(EventKind.WALL_COLLISION, 1.0))
+        events.append(_WALL_COLLISION)
     for contact in readings.vision:
         if contact.label is ANGRY_LABEL:
             events.append(
@@ -180,18 +190,10 @@ def encode_events(
         met = company >= 1
     else:
         met = company == 0
-    events.append(
-        AppraisalEvent(
-            EventKind.SOCIAL_NEED_MET if met else EventKind.SOCIAL_NEED_UNMET, 1.0
-        )
-    )
+    events.append(_SOCIAL_NEED_MET if met else _SOCIAL_NEED_UNMET)
     if readings.ground:
-        events.append(AppraisalEvent(EventKind.GOAL_REACHED, 1.0))
+        events.append(_GOAL_REACHED)
     return events
-
-
-def _capped(value: float, cap: float) -> float:
-    return min(max(value, -cap), cap)
 
 
 def appraise_survival(
@@ -212,7 +214,9 @@ def appraise_survival(
             p -= g
             a += g
     cap = gains.max_step
-    return AppraisalResult(BankId.SURVIVAL, (_capped(p, cap), _capped(a, cap), _capped(d, cap)))
+    return AppraisalResult(
+        BankId.SURVIVAL, (min(max(p, -cap), cap), min(max(a, -cap), cap), min(max(d, -cap), cap))
+    )
 
 
 def appraise_goal(
@@ -239,7 +243,9 @@ def appraise_goal(
         elif kind is EventKind.GOAL_REACHED:
             p += gains.max_step
     cap = gains.max_step
-    return AppraisalResult(BankId.GOAL, (_capped(p, cap), _capped(a, cap), _capped(d, cap)))
+    return AppraisalResult(
+        BankId.GOAL, (min(max(p, -cap), cap), min(max(a, -cap), cap), min(max(d, -cap), cap))
+    )
 
 
 def step_emotion(
@@ -302,13 +308,17 @@ class EmotionTracker:
             readings, self.profile, self.prev_beacon_visible, self.thresholds
         )
         self.state = step_emotion(self.state, events, self.profile, cycle, self.gains)
-        stress = sum(1 for ev in events if ev.kind in SURVIVAL_EVENTS)
+        stress = 0
+        beacon_visible = False
+        for ev in events:
+            if ev.kind in SURVIVAL_EVENTS:
+                stress += 1
+            elif ev.kind is EventKind.BEACON_VISIBLE:
+                beacon_visible = True
         stress_update(
             self.profile, stress, self.state.current.arousal, 1, self.drift_rate
         )
-        self.prev_beacon_visible = any(
-            ev.kind is EventKind.BEACON_VISIBLE for ev in events
-        )
+        self.prev_beacon_visible = beacon_visible
         return events
 
     @property

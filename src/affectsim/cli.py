@@ -94,7 +94,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     rows = read_metrics_csv(args.csv)
-    for cell in summarize(rows, t_max=args.max_cycles):
+    t_max = args.max_cycles
+    if t_max is None:
+        # An unfinished row's time_cycles is the horizon and no finish lies
+        # beyond it; if every row finished, the horizon enters no score.
+        t_max = max((r.time_cycles for r in rows), default=T_MAX)
+    for cell in summarize(rows, t_max=t_max):
         print(
             f"{cell.scenario:<12} {cell.team:<12} trials {cell.trials:>3} "
             f"mean {cell.mean_time_mean:8.1f} (sd {cell.mean_time_std:7.1f}) "
@@ -189,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="recompute aggregates from metrics.csv")
     p_score.add_argument("--csv", required=True)
-    p_score.add_argument("--max-cycles", type=int, default=T_MAX)
+    p_score.add_argument(
+        "--max-cycles", type=int, default=None, help="horizon (default: read from the rows)"
+    )
     p_score.set_defaults(func=cmd_score)
 
     p_label = sub.add_parser("label", help="octant and Big Five for a PAD point")

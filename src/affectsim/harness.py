@@ -153,17 +153,25 @@ class CommandSource:
         pass
 
 
+_BEHAVIORS = tuple(Behavior)
+
+
 @dataclass
 class TrialRecorder:
     """Optional side-channel for per-trial extras the metrics don't carry."""
 
     record_positions: bool = False
-    behavior_counts: Dict[int, Dict[Behavior, int]] = field(default_factory=dict)
+    # Per slot, the count of each behavior in Behavior declaration order.
+    behavior_counts: Dict[int, List[int]] = field(default_factory=dict)
     positions: Dict[int, List[Tuple[float, float]]] = field(default_factory=dict)
 
     def count(self, slot: int, behavior: Behavior) -> None:
-        per_slot = self.behavior_counts.setdefault(slot, {})
-        per_slot[behavior] = per_slot.get(behavior, 0) + 1
+        counts = self.behavior_counts.get(slot)
+        if counts is None:
+            counts = self.behavior_counts[slot] = [0] * len(_BEHAVIORS)
+        # tuple.index tests identity first; a Behavior-keyed dict would
+        # call the Python-level Enum.__hash__ on every agent-cycle.
+        counts[_BEHAVIORS.index(behavior)] += 1
 
     def snapshot(self, world: World) -> None:
         for body in world.bodies:
@@ -223,22 +231,23 @@ class TrialEngine:
         }
         finish: Dict[int, int] = {}
         traj: Dict[int, List[Tuple[float, float, float]]] = {i: [] for i in ids}
+        agents = [(i, self.trackers[i], world.body(i), traj[i]) for i in ids]
+        snapshots = self.recorder is not None and self.recorder.record_positions
         while True:
             cycle = world.cycle
-            for i in ids:
+            for i, tracker, body, points in agents:
                 if i in finish:
-                    traj[i].append(traj[i][-1])
+                    points.append(points[-1])
                     continue
-                tracker = self.trackers[i]
                 tracker.observe(readings[i], cycle)
-                world.body(i).broadcast_label = tracker.label
-                traj[i].append(scale_for_report(tracker.state.current))
-            if self.recorder is not None and self.recorder.record_positions:
+                body.broadcast_label = tracker.label
+                points.append(scale_for_report(tracker.state.current))
+            if snapshots:
                 self.recorder.snapshot(world)
-            for i in ids:
+            for i, _, body, _ in agents:
                 if i not in finish and readings[i].ground:
                     finish[i] = cycle
-                    world.body(i).stopped = True
+                    body.stopped = True
                     source.notify_finish(i, cycle)
             if len(finish) == len(ids) or cycle >= self.t_max:
                 break
@@ -418,8 +427,9 @@ def agent_rows_for_trial(
     metrics: TrialMetrics, recorder: Optional[TrialRecorder] = None
 ) -> List[AgentRow]:
     rows = []
+    zeros = [0] * len(_BEHAVIORS)
     for agent in metrics.agents:
-        per_slot = recorder.behavior_counts.get(agent.slot, {}) if recorder is not None else {}
+        counts = recorder.behavior_counts.get(agent.slot, zeros) if recorder is not None else zeros
         rows.append(
             AgentRow(
                 scenario=metrics.scenario,
@@ -432,7 +442,7 @@ def agent_rows_for_trial(
                 mean_pleasure=_traj_mean(agent.trajectory, 0),
                 mean_arousal=_traj_mean(agent.trajectory, 1),
                 mean_dominance=_traj_mean(agent.trajectory, 2),
-                behaviors=tuple(per_slot.get(b, 0) for b in Behavior),
+                behaviors=tuple(counts),
             )
         )
     return rows

@@ -181,8 +181,9 @@ class _NetSource(CommandSource):
                 continue
             cmd = session.collect(cycle, deadline)
             if cmd is None:
+                if not session.drops:  # once per agent; close() reports the count
+                    log.warning("agent %d silent at cycle %d; coasting", agent_id, cycle)
                 session.drops += 1
-                log.warning("agent %d silent at cycle %d; coasting", agent_id, cycle)
                 continue
             out[agent_id] = cmd
         return out
@@ -193,6 +194,9 @@ class _NetSource(CommandSource):
             session.send(Finish(cycle))
 
     def close(self, cycle: int) -> None:
+        for agent_id, session in sorted(self.server.sessions.items()):
+            if session.drops:
+                log.info("agent %d coasted %d silent cycles", agent_id, session.drops)
         self.server.finish_all(cycle)
 
 

@@ -77,6 +77,15 @@ class PadVector:
     dominance: float = 0.0
 
     def __post_init__(self) -> None:
+        p, a, d = self.pleasure, self.arousal, self.dominance
+        # Fast path: plain floats in range need no conversion and no check.
+        if (
+            type(p) is type(a) is type(d) is float
+            and -1.0 <= p <= 1.0
+            and -1.0 <= a <= 1.0
+            and -1.0 <= d <= 1.0
+        ):
+            return
         for axis in ("pleasure", "arousal", "dominance"):
             object.__setattr__(self, axis, check_range(axis, getattr(self, axis), -1.0, 1.0))
 

@@ -13,7 +13,7 @@ agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .pad import EmotionLabel, check_range
@@ -38,15 +38,15 @@ def canonical_command(cmd: MotorCommand) -> MotorCommand:
 
 
 def canonical_readings(r: SensorReadings) -> SensorReadings:
-    vision = tuple(
-        VisionContact(q6(c.bearing), q6(c.distance), c.label) for c in r.vision
-    )
-    return replace(
-        r,
-        proximity=tuple(q6(p) for p in r.proximity),
-        beacon_bearing=None if r.beacon_bearing is None else q6(r.beacon_bearing),
-        compass=q6(r.compass),
-        vision=vision,
+    p0, p1, p2 = r.proximity
+    beacon = r.beacon_bearing
+    return SensorReadings(
+        (q6(p0), q6(p1), q6(p2)),
+        None if beacon is None else q6(beacon),
+        q6(r.compass),
+        r.ground,
+        r.collision,
+        tuple([VisionContact(q6(c.bearing), q6(c.distance), c.label) for c in r.vision]),
     )
 
 

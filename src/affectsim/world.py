@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,12 @@ def wrap_angle(theta: float) -> float:
     if wrapped < 0.0:
         wrapped += 2.0 * math.pi
     return wrapped - math.pi
+
+
+def _wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle elementwise, with the same operations and so the same bits."""
+    wrapped = np.fmod(theta + math.pi, 2.0 * math.pi)
+    return np.where(wrapped < 0.0, wrapped + 2.0 * math.pi, wrapped) - math.pi
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,8 @@ class MotorCommand:
     right: float = 0.0
 
     def __post_init__(self) -> None:
+        if -1.0 <= self.left <= 1.0 >= self.right >= -1.0:
+            return
         for name, value in (("left", self.left), ("right", self.right)):
             if not -1.0 <= value <= 1.0:
                 raise ValueError(f"{name} power must lie in [-1, 1], got {value!r}")
@@ -282,9 +290,15 @@ class World:
         self.cycle = 0
         # One noise stream per agent, keyed by slot so that agent order,
         # team composition, and early finishes cannot shift anyone's draws.
-        self._rngs: Dict[int, np.random.Generator] = {
-            b.agent_id: np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(1, b.agent_id))
+        # Only the sweep reads a stream. It draws standard normals ahead in
+        # blocks of _NOISE_BLOCK and takes them in order, 3 proximity, then
+        # beacon (if any), then compass, so each value is the one a call to
+        # normal(0, sigma) would have drawn at that point.
+        self._noise: Dict[int, Iterator[float]] = {
+            b.agent_id: _noise_buffer(
+                np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(1, b.agent_id))
+                )
             )
             for b in self.bodies
         }
@@ -332,12 +346,6 @@ class World:
             ).sensor_reach
         return self.physics.base_reach * mult
 
-    def in_arrival_zone(self, x: float, y: float) -> bool:
-        if self.arena.beacon is None:
-            return False
-        bx, by = self.arena.beacon
-        return math.hypot(x - bx, y - by) <= self.arena.arrival_radius
-
     def active_ids(self) -> List[int]:
         return [b.agent_id for b in self.bodies if not b.stopped]
 
@@ -351,8 +359,9 @@ class World:
         rolling the involved bodies back to their pre-step pose and raising
         their collision flags.
         """
-        before = {b.agent_id: b.pose() for b in self.bodies}
-        for body in self.bodies:
+        bodies = self.bodies
+        before = [(b.x, b.y, b.heading) for b in bodies]
+        for body in bodies:
             body.collision_flag = False
             if body.stopped:
                 continue
@@ -362,28 +371,30 @@ class World:
         # Fixed-point pose rollback: a body overlapping a wall, the
         # boundary, or another body reverts wholesale; reverting one body
         # can expose a new overlap for another, so iterate to quiescence.
-        rolled: set = set()
+        rolled = [False] * len(bodies)
         while True:
             offenders = set()
             outside, on_wall, hit = placement_masks(self.arena, *self._circles())
-            for j in np.nonzero(outside | on_wall)[0]:
-                body = self.bodies[j]
-                if body.agent_id not in rolled:
-                    offenders.add(body.agent_id)
-            for j, k in zip(*np.nonzero(np.triu(hit))):
-                a, b = self.bodies[j], self.bodies[k]
-                a.collision_flag = True
-                b.collision_flag = True
-                for part in (a, b):
-                    if part.agent_id not in rolled:
-                        offenders.add(part.agent_id)
+            for j in np.flatnonzero(outside | on_wall).tolist():
+                if not rolled[j]:
+                    offenders.add(j)
+            first, second = np.nonzero(hit)
+            for j, k in zip(first.tolist(), second.tolist()):
+                if j > k:  # each pair once
+                    continue
+                bodies[j].collision_flag = True
+                bodies[k].collision_flag = True
+                if not rolled[j]:
+                    offenders.add(j)
+                if not rolled[k]:
+                    offenders.add(k)
             if not offenders:
                 break
-            for agent_id in offenders:
-                body = self._index[agent_id]
-                body.x, body.y, body.heading = before[agent_id]
+            for j in offenders:
+                body = bodies[j]
+                body.x, body.y, body.heading = before[j]
                 body.collision_flag = True
-                rolled.add(agent_id)
+                rolled[j] = True
 
         self.cycle += 1
         return self.sense_active()
@@ -443,13 +454,28 @@ def _circle_distances(
 
 _RAY_OFFSETS = (0.0, math.pi / 3.0, -math.pi / 3.0)  # front, left, right
 
+_NOISE_BLOCK = 256  # standard normals a slot's noise stream draws at a time
+
+
+def _noise_buffer(rng: np.random.Generator) -> Iterator[float]:
+    """A slot's standard normals in draw order, drawn ahead in blocks.
+
+    Generator.normal(loc, scale) computes loc + scale * z from the same
+    sequence of standard normals, so 0.0 + sigma * z for the next z is
+    the value a fresh normal(0, sigma) call would have returned.
+    """
+    while True:
+        yield from rng.standard_normal(_NOISE_BLOCK).tolist()
+
 
 def _sweep(world: World, ids: Sequence[int]) -> Dict[int, SensorReadings]:
     """Sensor sweep for several agents in one vectorized pass.
 
-    Noise is still drawn per agent from that agent's own stream, in the
-    same order as a one-agent sweep, so batching cannot change any
-    reading.
+    Noise comes from each agent's own stream in a fixed order per cycle:
+    three proximity values, the beacon bearing (only when the scenario
+    has a beacon), then the compass. The stream is drawn ahead in blocks
+    of _NOISE_BLOCK, which changes no value, so batching, block length
+    and the set of agents sensed cannot change any reading.
     """
     if not ids:
         return {}
@@ -469,48 +495,44 @@ def _sweep(world: World, ids: Sequence[int]) -> Dict[int, SensorReadings]:
     wall_d = _ray_distances(ray_o, ray_d, world._rect_min, world._rect_max)
     body_d = _circle_distances(ray_o, ray_d, pos, radii)
     obstacle = np.minimum(wall_d, body_d).reshape(len(rows), len(_RAY_OFFSETS))
-    raw = np.minimum(obstacle, reaches[:, None]) / reaches[:, None]
+    raw = (np.minimum(obstacle, reaches[:, None]) / reaches[:, None]).tolist()
 
+    # Vision: every other body within reach and the frontal field of view.
     delta = pos[None, :, :] - origins[:, None, :]
     dists = np.hypot(delta[:, :, 0], delta[:, :, 1])
-    rel_bearings = np.arctan2(delta[:, :, 1], delta[:, :, 0]) - headings[:, None]
+    bearings = _wrap_angles(np.arctan2(delta[:, :, 1], delta[:, :, 0]) - headings[:, None])
+    seen = (dists <= reaches[:, None]) & (np.abs(bearings) <= physics.vision_half_angle)
+    seen[np.arange(len(rows)), rows] = False
+    labels = [b.broadcast_label for b in bodies]
+    dists, bearings = dists.tolist(), bearings.tolist()
+    vision: List[List[VisionContact]] = [[] for _ in rows]
+    for k, j in zip(*(a.tolist() for a in np.nonzero(seen))):  # j ascending per k
+        vision[k].append(VisionContact(bearings[k][j], dists[k][j], labels[j]))
 
+    sigma_prox, sigma_angle = physics.sigma_prox, physics.sigma_angle
+    beacon = world.arena.beacon
+    arrival = world.arena.arrival_radius
     out: Dict[int, SensorReadings] = {}
     for k, agent_id in enumerate(ids):
         body = bodies[rows[k]]
-        rng = world._rngs[agent_id]
-        noise = rng.normal(0.0, physics.sigma_prox, 3)
-        prox = tuple(
-            float(min(max(raw[k, i] + noise[i], 0.0), 1.0)) for i in range(3)
+        noise = world._noise[agent_id]
+        r0, r1, r2 = raw[k]
+        prox = (
+            min(max(r0 + (0.0 + sigma_prox * next(noise)), 0.0), 1.0),
+            min(max(r1 + (0.0 + sigma_prox * next(noise)), 0.0), 1.0),
+            min(max(r2 + (0.0 + sigma_prox * next(noise)), 0.0), 1.0),
         )
 
         beacon_bearing = None
-        if world.arena.beacon is not None:
-            bx, by = world.arena.beacon
+        ground = False
+        if beacon is not None:
+            bx, by = beacon
             bearing = math.atan2(by - body.y, bx - body.x) - body.heading
-            beacon_bearing = wrap_angle(
-                bearing + float(rng.normal(0.0, physics.sigma_angle))
-            )
-        compass = wrap_angle(body.heading + float(rng.normal(0.0, physics.sigma_angle)))
-
-        contacts = []
-        for j, other in enumerate(bodies):
-            if j == rows[k] or dists[k, j] > reaches[k]:
-                continue
-            bearing = wrap_angle(float(rel_bearings[k, j]))
-            if abs(bearing) > physics.vision_half_angle:
-                continue
-            contacts.append(
-                VisionContact(bearing, float(dists[k, j]), other.broadcast_label)
-            )
-
+            beacon_bearing = wrap_angle(bearing + (0.0 + sigma_angle * next(noise)))
+            ground = math.hypot(body.x - bx, body.y - by) <= arrival
+        compass = wrap_angle(body.heading + (0.0 + sigma_angle * next(noise)))
         out[agent_id] = SensorReadings(
-            proximity=prox,
-            beacon_bearing=beacon_bearing,
-            compass=compass,
-            ground=world.in_arrival_zone(body.x, body.y),
-            collision=body.collision_flag,
-            vision=tuple(contacts),
+            prox, beacon_bearing, compass, ground, body.collision_flag, tuple(vision[k])
         )
     return out
 

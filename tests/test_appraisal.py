@@ -235,7 +235,7 @@ def test_intensity_scales_gain():
 
 
 def test_survival_event_set():
-    assert SURVIVAL_EVENTS == {EventKind.THREAT_VISIBLE, EventKind.WALL_COLLISION}
+    assert set(SURVIVAL_EVENTS) == {EventKind.THREAT_VISIBLE, EventKind.WALL_COLLISION}
     assert ANGRY_LABEL is EmotionLabel.HOSTILE
 
 

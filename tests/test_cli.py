@@ -1,5 +1,6 @@
 """Command-line entry points, exercised through main(argv)."""
 
+import csv
 import os
 import threading
 
@@ -129,6 +130,17 @@ def test_matrix_then_score_round_trip(small_scenario, tmp_path, capsys):
     assert code == 0
     score_out = capsys.readouterr().out
     assert "trials   2" in score_out
+
+
+def test_score_reads_the_horizon_from_the_rows(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    argv = ["run", "--team", "mixed", "--seed", "0", "--max-cycles", "300", "--out", str(out_dir)]
+    assert main(argv) == 0
+    with open(out_dir / "summary.csv", newline="") as handle:
+        written = float(next(csv.DictReader(handle))["mean_time_mean"])
+    capsys.readouterr()
+    assert main(["score", "--csv", str(out_dir / "metrics.csv")]) == 0
+    assert f"mean {written:8.1f}" in capsys.readouterr().out
 
 
 def test_unknown_team_is_a_clean_error(small_scenario):

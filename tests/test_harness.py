@@ -210,7 +210,7 @@ def test_recorder_counts_behaviors():
     length = len(metrics.agents[0].trajectory)
     assert sorted(recorder.behavior_counts) == list(range(9))
     for slot, counts in recorder.behavior_counts.items():
-        assert 1 <= sum(counts.values()) <= length
+        assert 1 <= sum(counts) <= length
 
 
 def test_recorder_positions_when_asked():

@@ -1,5 +1,6 @@
 """Networked trials: handshake, lockstep equivalence, realtime coasting."""
 
+import logging
 import socket
 import threading
 import time
@@ -319,7 +320,7 @@ def test_viewer_decodes_every_frame_of_a_social_trial():
     assert all(len(f.poses) == 9 for f in frames)
 
 
-def test_realtime_silent_agent_coasts_and_trial_still_ends():
+def test_realtime_silent_agent_coasts_and_trial_still_ends(caplog):
     spec = parse_scenario(SMALL, name="small")
     server = SimulationServer(
         spec, TEAM, seed=0, lockstep=False, t_max=20, cycle_deadline=0.02
@@ -342,10 +343,14 @@ def test_realtime_silent_agent_coasts_and_trial_still_ends():
         mute.sendall(b"REG agent mute\n")
         assert decode(mute_reader.readline()).agent_id == 8
 
-        metrics = server.run_trial()
+        with caplog.at_level(logging.INFO, logger="affectsim.net"):
+            metrics = server.run_trial()
         assert len(metrics.agents) == 9
         assert server.sessions[8].drops == 20
         assert all(server.sessions[i].drops == 0 for i in range(8))
+        about_mute = [r for r in caplog.records if r.getMessage().startswith("agent 8 ")]
+        assert [r.levelno for r in about_mute] == [logging.WARNING, logging.INFO]
+        assert about_mute[-1].getMessage() == "agent 8 coasted 20 silent cycles"
         mute.close()
         for t in threads:
             t.join(timeout=5.0)

@@ -5,6 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import affectsim.world as world_module
+from affectsim.config import builtin_scenario, make_world
+from affectsim.harness import mixed_team, team_profiles
+from affectsim.pad import EmotionLabel
 from affectsim.world import (
     AgentBody,
     Arena,
@@ -281,6 +285,55 @@ def test_clear_field_noise_bias_is_small():
     )
     samples = [sense(world, 0).proximity[0] for _ in range(4000)]
     assert 0.99 < float(np.mean(samples)) <= 1.0
+
+
+def test_noise_follows_the_slot_stream_across_blocks():
+    # A lone, stationary agent with no beacon takes four normals per sense
+    # from stream (seed, slot 0): three proximity values, then the compass.
+    # 300 senses draw 1,200 values, past the end of the first block.
+    physics = PhysicsConfig()
+    world = _world([AgentBody(0, 6.0, 6.0, 0.7)], physics=physics, seed=11)
+    assert 300 * 4 > world_module._NOISE_BLOCK
+    rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(1, 0)))
+    for _ in range(300):
+        noise = rng.normal(0.0, physics.sigma_prox, 3)
+        compass = wrap_angle(0.7 + rng.normal(0.0, physics.sigma_angle))
+        readings = sense(world, 0)
+        assert readings.proximity == tuple(min(max(1.0 + z, 0.0), 1.0) for z in noise)
+        assert readings.compass == compass
+
+
+def test_batched_sweep_equals_one_sense_per_agent():
+    # Twin worlds with a beacon and walls (five draws per agent-cycle):
+    # one senses all active agents in one sweep, the other one at a time.
+    spec = builtin_scenario("scenario1")
+    profiles = team_profiles(mixed_team(), 4, spec.temperament)
+    batched, single = make_world(spec, profiles, 4), make_world(spec, profiles, 4)
+    rng = np.random.default_rng(5)
+    labels = list(EmotionLabel)
+    for cycle in range(50):
+        if cycle == 25:
+            batched.body(3).stopped = single.body(3).stopped = True
+        assert batched.sense_active() == {i: sense(single, i) for i in single.active_ids()}
+        powers = rng.uniform(-1.0, 1.0, (9, 2)).tolist()
+        for w in (batched, single):
+            for body in w.bodies:
+                body.broadcast_label = labels[(cycle + body.agent_id) % len(labels)]
+                if not body.stopped:
+                    apply_motors(body, MotorCommand(*powers[body.agent_id]))
+    assert 3 not in batched.sense_active()
+
+
+def test_wrap_angles_matches_wrap_angle_bit_for_bit():
+    rng = np.random.default_rng(3)
+    thetas = np.concatenate(
+        [
+            rng.uniform(-20.0, 20.0, 2000),
+            [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -3.0 * math.pi, 1e-300, -1e-300],
+        ]
+    )
+    got = [g.hex() for g in world_module._wrap_angles(thetas).tolist()]
+    assert got == [wrap_angle(t).hex() for t in thetas.tolist()]
 
 
 # -- stepping and collisions ---------------------------------------------
