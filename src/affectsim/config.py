@@ -84,18 +84,25 @@ def _floats(where: str, raw: str, count: int) -> List[float]:
     if len(parts) != count:
         raise _fail(where, f"expected {count} numbers, got {raw!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise _fail(where, f"non-numeric value in {raw!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise _fail(where, f"non-finite value in {raw!r}")
+    return values
 
 
 def _get_float(section: Mapping[str, str], key: str, default: float, where: str) -> float:
+    """The key's value as a finite float, or `default` if it is absent."""
     if key not in section:
         return default
     try:
-        return float(section[key])
+        value = float(section[key])
     except ValueError:
         raise _fail(where, f"{key} must be a number, got {section[key]!r}") from None
+    if not math.isfinite(value):
+        raise _fail(where, f"{key} must be finite, got {section[key]!r}")
+    return value
 
 
 def _overrides(section: Mapping[str, str], config_type, where: str) -> Dict[str, float]:

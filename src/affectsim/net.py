@@ -54,6 +54,13 @@ from .world import MotorCommand, SensorReadings, wrap_angle
 
 log = logging.getLogger("affectsim.net")
 
+# A new connection must deliver its REG line within HANDSHAKE_TIMEOUT
+# seconds and in at most MAX_REGISTER_LINE bytes, newline included. Once
+# registered, a session has no read timeout: a lockstep peer may think
+# for as long as it likes.
+HANDSHAKE_TIMEOUT = 10.0
+MAX_REGISTER_LINE = 256
+
 
 class _Session:
     """One client connection: writer plus a Motors mailbox that holds at
@@ -262,15 +269,25 @@ class SimulationServer:
 
     def _handshake(self, conn: socket.socket) -> None:
         reader = conn.makefile("rb")
-        line = reader.readline().decode("ascii", "replace")
-        msg = decode(line) if line else WireError("parse", "no registration")
+        try:
+            conn.settimeout(HANDSHAKE_TIMEOUT)
+            raw = reader.readline(MAX_REGISTER_LINE + 1)
+        except OSError:  # silent past the timeout, or gone
+            reader.close()
+            conn.close()
+            return
+        too_long = len(raw) > MAX_REGISTER_LINE
+        msg = None if too_long else decode(raw.decode("ascii", "replace"))
         if not isinstance(msg, Register):
+            why = "first line too long" if too_long else "expected REG first"
             try:
-                conn.sendall(encode(WireError("register", "expected REG first")).encode("ascii"))
+                conn.sendall(encode(WireError("register", why)).encode("ascii"))
+                reader.close()
                 conn.close()
             except OSError:
                 pass
             return
+        conn.settimeout(None)
         session = _Session(conn, msg.role, msg.name)
         session.reader = reader
         if msg.role == ROLE_AGENT:

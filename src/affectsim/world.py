@@ -7,6 +7,10 @@ filtered and integrated, overlaps are resolved by rolling colliders back
 to their pre-step pose, and each agent then gets a noisy sensor sweep
 (three proximity rays, beacon bearing, compass, ground and collision
 flags, and a vision list of nearby robots with their broadcast moods).
+
+A ray's distance to the arena boundary is solved in closed form, to
+interior wall blocks by the slab test, and to robot bodies from the same
+pairwise offsets that vision reads.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,8 +184,7 @@ class MotorCommand:
 COAST = MotorCommand(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class VisionContact:
+class VisionContact(NamedTuple):
     """One robot seen by the vision sensor."""
 
     bearing: float
@@ -189,8 +192,7 @@ class VisionContact:
     label: EmotionLabel
 
 
-@dataclass(frozen=True)
-class SensorReadings:
+class SensorReadings(NamedTuple):
     """One agent's sweep for one cycle.
 
     Proximity rays point front, 60 degrees left and 60 degrees right; each
@@ -311,26 +313,16 @@ class World:
     # -- setup helpers -------------------------------------------------
 
     def _rebuild_geometry(self) -> None:
-        pad = 1.0
-        w, h = self.arena.width, self.arena.height
-        rects = list(self.arena.walls)
-        boundary = [
-            Rect(-pad, -pad, 0.0, h + pad),
-            Rect(w, -pad, w + pad, h + pad),
-            Rect(-pad, -pad, w + pad, 0.0),
-            Rect(-pad, h, w + pad, h + pad),
-        ]
-        allrects = rects + boundary
-        self._rect_min = np.array([[r.xmin, r.ymin] for r in allrects])
-        self._rect_max = np.array([[r.xmax, r.ymax] for r in allrects])
+        self._wall_min, self._wall_max = self.arena.wall_extents
+        self._radii = np.array([b.radius for b in self.bodies])
+        self._radii_sq = self._radii ** 2
+        self._rows = np.arange(len(self.bodies))
         self._order = {b.agent_id: j for j, b in enumerate(self.bodies)}
         self._reaches = {b.agent_id: self.reach(b.agent_id) for b in self.bodies}
 
     def _circles(self) -> Tuple[np.ndarray, np.ndarray]:
         """Body positions (n x 2) and radii, in slot order."""
-        pos = np.array([[b.x, b.y] for b in self.bodies])
-        radii = np.array([b.radius for b in self.bodies])
-        return pos, radii
+        return np.array([[b.x, b.y] for b in self.bodies]), self._radii
 
     # -- queries -------------------------------------------------------
 
@@ -411,48 +403,47 @@ def _ray_distances(
 ) -> np.ndarray:
     """Distance to the nearest rectangle along each (origin, direction) ray.
 
-    Slab test vectorized over rays x rectangles; parallel rays are handled
-    without dividing by zero so an agent sliding exactly along a wall edge
-    cannot poison the result with NaNs. Returns +inf where a ray misses.
+    Slab test vectorized over rays x rectangles; `origins` and `dirs`
+    (..., 2) broadcast against each other, one ray per resulting row.
+    Parallel rays are handled without dividing by zero so an agent sliding
+    exactly along a wall edge cannot poison the result with NaNs. Returns
+    +inf where a ray misses.
     """
-    o = origins[:, None, :]
-    d = dirs[:, None, :]
-    lo = rect_min[None, :, :] - o
-    hi = rect_max[None, :, :] - o
+    o = origins[..., None, :]
+    d = dirs[..., None, :]
+    lo = rect_min - o
+    hi = rect_max - o
     nonzero = d != 0.0
     safe = np.where(nonzero, d, 1.0)
     t_lo = np.where(nonzero, lo / safe, np.where(lo <= 0.0, -np.inf, np.inf))
     t_hi = np.where(nonzero, hi / safe, np.where(hi >= 0.0, np.inf, -np.inf))
     t_min = np.minimum(t_lo, t_hi)
     t_max = np.maximum(t_lo, t_hi)
-    near = t_min.max(axis=2)
-    far = t_max.min(axis=2)
+    near = t_min.max(axis=-1)
+    far = t_max.min(axis=-1)
     hit = (near <= far) & (far >= 0.0) & (near >= 0.0)
     dist = np.where(hit, near, np.inf)
-    return dist.min(axis=1)
+    return dist.min(axis=-1)
 
 
-def _circle_distances(
-    origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray, radii: np.ndarray
+def _boundary_distances(
+    x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray, width: float, height: float
 ) -> np.ndarray:
-    """Distance to the nearest circle along each ray (+inf on a miss).
+    """Distance along each ray from (x, y) with direction (c, s) to the arena edge.
 
-    A ray cast from a circle's own center never hits that circle (its near
-    root is negative), so callers need not exclude the caster's body.
+    The ray runs to x = width when c > 0 and to x = 0 otherwise, and the
+    same for y; a zero component divides by zero and gives an infinite
+    distance on its axis, so call this under np.errstate(divide="ignore").
+    For origins inside the arena each value has the bits the slab test
+    gives for boundary blocks padded outside the arena.
     """
-    if centers.size == 0:
-        return np.full(dirs.shape[0], np.inf)
-    oc = centers[None, :, :] - origins[:, None, :]
-    b = (dirs[:, None, :] * oc).sum(axis=2)
-    closest_sq = (oc * oc).sum(axis=2) - b * b
-    disc = radii[None, :] ** 2 - closest_sq
-    ok = disc >= 0.0
-    t = np.where(ok, b - np.sqrt(np.where(ok, disc, 0.0)), np.inf)
-    t = np.where(t >= 0.0, t, np.inf)
-    return t.min(axis=1)
+    return np.minimum(
+        np.abs((np.where(c > 0.0, width, 0.0) - x) / c),
+        np.abs((np.where(s > 0.0, height, 0.0) - y) / s),
+    )
 
 
-_RAY_OFFSETS = (0.0, math.pi / 3.0, -math.pi / 3.0)  # front, left, right
+_RAY_OFFSETS = np.array([0.0, math.pi / 3.0, -math.pi / 3.0])  # front, left, right
 
 _NOISE_BLOCK = 256  # standard normals a slot's noise stream draws at a time
 
@@ -481,28 +472,39 @@ def _sweep(world: World, ids: Sequence[int]) -> Dict[int, SensorReadings]:
         return {}
     physics = world.physics
     bodies = world.bodies
-    pos = np.array([[b.x, b.y] for b in bodies])
-    radii = np.array([b.radius for b in bodies])
+    pose = np.array([(b.x, b.y, b.heading) for b in bodies])
     rows = [world._order[i] for i in ids]
-    origins = pos[rows]
-    headings = np.array([bodies[j].heading for j in rows])
-    reaches = np.array([world._reaches[i] for i in ids])
+    own = pose[rows]
+    x, y, headings = own[:, 0:1], own[:, 1:2], own[:, 2:3]
+    reaches = np.array([world._reaches[i] for i in ids])[:, None]
+    # Offsets from each sensing agent to every body, shared by the
+    # proximity rays and vision.
+    dx = pose[:, 0] - x
+    dy = pose[:, 1] - y
 
-    angles = headings[:, None] + np.asarray(_RAY_OFFSETS)[None, :]
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=2)
-    ray_o = np.repeat(origins, len(_RAY_OFFSETS), axis=0)
-    ray_d = dirs.reshape(-1, 2)
-    wall_d = _ray_distances(ray_o, ray_d, world._rect_min, world._rect_max)
-    body_d = _circle_distances(ray_o, ray_d, pos, radii)
-    obstacle = np.minimum(wall_d, body_d).reshape(len(rows), len(_RAY_OFFSETS))
-    raw = (np.minimum(obstacle, reaches[:, None]) / reaches[:, None]).tolist()
+    angles = headings + _RAY_OFFSETS
+    c, s = np.cos(angles), np.sin(angles)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obstacle = _boundary_distances(x, y, c, s, world.arena.width, world.arena.height)
+        # Ray x body: `along` is the distance along the ray to the point
+        # nearest the body's center and |D|^2 - along^2 the squared miss
+        # distance. A miss (NaN root) or a body behind the caster (negative
+        # root) reads as +inf; the caster's own body (D = 0) is behind it.
+        along = c[:, :, None] * dx[:, None, :] + s[:, :, None] * dy[:, None, :]
+        disc = world._radii_sq - ((dx * dx + dy * dy)[:, None, :] - along * along)
+        t = along - np.sqrt(disc)
+    obstacle = np.minimum(obstacle, np.where(t >= 0.0, t, np.inf).min(axis=2))
+    if world._wall_min.size:
+        dirs = np.stack([c, s], axis=2)
+        walls = _ray_distances(own[:, None, :2], dirs, world._wall_min, world._wall_max)
+        obstacle = np.minimum(obstacle, walls)
+    raw = (np.minimum(obstacle, reaches) / reaches).tolist()
 
     # Vision: every other body within reach and the frontal field of view.
-    delta = pos[None, :, :] - origins[:, None, :]
-    dists = np.hypot(delta[:, :, 0], delta[:, :, 1])
-    bearings = _wrap_angles(np.arctan2(delta[:, :, 1], delta[:, :, 0]) - headings[:, None])
-    seen = (dists <= reaches[:, None]) & (np.abs(bearings) <= physics.vision_half_angle)
-    seen[np.arange(len(rows)), rows] = False
+    dists = np.hypot(dx, dy)
+    bearings = _wrap_angles(np.arctan2(dy, dx) - headings)
+    seen = (dists <= reaches) & (np.abs(bearings) <= physics.vision_half_angle)
+    seen[world._rows[: len(rows)], rows] = False
     labels = [b.broadcast_label for b in bodies]
     dists, bearings = dists.tolist(), bearings.tolist()
     vision: List[List[VisionContact]] = [[] for _ in rows]

@@ -1,11 +1,22 @@
-"""Shared test plumbing: the acceptance-criteria report.
+"""Shared test plumbing: the acceptance-criteria report and the
+hypothesis profile.
 
 Criterion tests in test_acceptance.py record their verdicts here; after
 the run a summary section prints one PASS/FAIL line per criterion so the
 gate can be read off the terminal without digging through pytest output.
+Property tests run derandomized and without deadlines, so a run draws the
+same examples every time and a slow, shared host cannot fail them.
 """
 
 import contextlib
+
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py skips itself
+    pass
+else:
+    settings.register_profile("affectsim", derandomize=True, deadline=None, database=None)
+    settings.load_profile("affectsim")
 
 ACCEPTANCE_RESULTS = []
 

@@ -132,6 +132,22 @@ def test_non_numeric_value_rejected():
         parse_scenario(MINIMAL.replace("width = 10", "width = wide"))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("width = 10", "width = inf", r"\[arena\]: width must be finite"),
+        ("s0 = 2 2 90", "s0 = 2 2 inf", r"\[spawns\] s0: non-finite value"),
+        ("s1 = 5 5 0", "s1 = nan 5 0", r"\[spawns\] s1: non-finite value"),
+        ("height = 8", "height = 8\nsigma_prox = nan", r"\[arena\]: sigma_prox must be finite"),
+    ],
+)
+def test_non_finite_value_rejected(old, new, message):
+    # An infinite spawn heading used to parse and then crash the first
+    # sensor sweep; a NaN spawn slipped past every placement check.
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(MINIMAL.replace(old, new))
+
+
 def test_wall_line_arity_checked():
     text = MINIMAL + "\n[walls]\nw0 = 1 2 3\n"
     with pytest.raises(ScenarioError, match="expected 4 numbers"):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from affectsim import net
 from affectsim.config import parse_scenario, resolve_scenario
 from affectsim.harness import controller_for_slot, homogeneous_team, mixed_team, run_trial
 from affectsim.net import (
@@ -217,6 +218,46 @@ def test_first_line_must_register():
         conn.sendall(b"MOT 0 0.000000 0.000000\n")
         reply = decode(reader.readline())
         assert reply.code == "register"
+        conn.close()
+
+
+def test_silent_client_is_dropped_within_the_handshake_timeout(monkeypatch):
+    monkeypatch.setattr(net, "HANDSHAKE_TIMEOUT", 0.2)
+    with SimulationServer(parse_scenario(SMALL), TEAM, seed=0) as server:
+        conn, reader = _connect(server.port)
+        conn.settimeout(5.0)
+        start = time.monotonic()
+        assert reader.readline() == ""  # closed without a word
+        assert time.monotonic() - start < 2.0
+        assert not server.sessions
+        conn.close()
+
+
+def test_over_long_first_line_is_refused_and_closed():
+    with SimulationServer(parse_scenario(SMALL), TEAM, seed=0) as server:
+        conn, reader = _connect(server.port)
+        conn.settimeout(5.0)
+        # No newline: the server must stop reading at its cap, not wait
+        # for the end of the line.
+        conn.sendall(b"REG agent " + b"x" * net.MAX_REGISTER_LINE)
+        reply = decode(reader.readline())
+        assert reply.code == "register"
+        assert reader.readline() == ""
+        assert not server.sessions
+        conn.close()
+
+
+def test_registered_agent_may_stay_silent_past_the_handshake_timeout(monkeypatch):
+    monkeypatch.setattr(net, "HANDSHAKE_TIMEOUT", 0.2)
+    with SimulationServer(parse_scenario(SMALL), TEAM, seed=0) as server:
+        conn, reader = _connect(server.port)
+        conn.settimeout(5.0)
+        conn.sendall(b"REG agent slow\n")
+        assert decode(reader.readline()).agent_id == 0
+        time.sleep(0.5)  # longer than the handshake timeout
+        session = server.sessions[0]
+        assert session.alive
+        assert session.conn.gettimeout() is None
         conn.close()
 
 
